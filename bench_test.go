@@ -198,37 +198,8 @@ func storeBenchGrid() vliwmt.Grid {
 // every job simulates and persists, so the delta against
 // BenchmarkSweepGrid is the store's write-path overhead. Each
 // iteration gets a fresh directory (a fresh Runner with an empty
-// compile cache, too, so cold means cold). Batching is pinned off —
-// this is the single-job execution baseline BenchmarkBatchedSweep is
-// measured against.
+// compile cache, too, so cold means cold).
 func BenchmarkStoreColdSweep(b *testing.B) {
-	grid := storeBenchGrid()
-	jobs := 0
-	for i := 0; i < b.N; i++ {
-		r := vliwmt.NewRunner(vliwmt.WithResultStore(b.TempDir()), vliwmt.WithBatch(1))
-		results, err := r.Sweep(context.Background(), grid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		jobs += len(results)
-		if st := r.Store().Stats(); st.Hits != 0 {
-			b.Fatalf("cold sweep hit the store: %+v", st)
-		}
-	}
-	b.StopTimer()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(jobs)/sec, "jobs/s")
-	}
-}
-
-// BenchmarkBatchedSweep is BenchmarkStoreColdSweep with the batched
-// simulation core on (the default): shape-compatible jobs advance
-// through one shared cycle loop with shared compiled plans and the
-// packed selection dictionary. Same grid, same cold store,
-// bit-identical results —
-// the jobs/s ratio against BenchmarkStoreColdSweep is the batching
-// speedup the sweep engine delivers on one core.
-func BenchmarkBatchedSweep(b *testing.B) {
 	grid := storeBenchGrid()
 	jobs := 0
 	for i := 0; i < b.N; i++ {
@@ -295,7 +266,7 @@ func generatedBenchGrid() vliwmt.Grid {
 // BenchmarkGeneratedSweepCold measures a cold sweep over generated
 // workloads: fresh store and compile cache each iteration, so kernel
 // generation and compilation are inside the measurement. The delta
-// against BenchmarkBatchedSweep (same shape over hand-written
+// against BenchmarkStoreColdSweep (same shape over hand-written
 // benchmarks) is what generation costs a real sweep.
 func BenchmarkGeneratedSweepCold(b *testing.B) {
 	grid := generatedBenchGrid()
@@ -407,9 +378,9 @@ func mergeSelectSets() ([][]isa.Occupancy, []uint32) {
 	return sets, valids
 }
 
-// BenchmarkMergeSelect measures the compiled merge-stage selection
+// BenchmarkMergeSelect measures the packed merge-stage selection
 // throughput of the recommended scheme — the evaluator sim.Run drives
-// every cycle.
+// every multi-candidate cycle.
 func BenchmarkMergeSelect(b *testing.B) {
 	m := isa.Default()
 	tree, err := merge.Parse("2SC3", 4)
@@ -417,17 +388,32 @@ func BenchmarkMergeSelect(b *testing.B) {
 		b.Fatal(err)
 	}
 	sel := merge.Compile(tree)
+	lim, ok := merge.PackLimits(&m)
+	if !ok {
+		b.Fatal("default machine does not pack")
+	}
 	sets, valids := mergeSelectSets()
+	var dict []merge.PackedOcc
+	ids := make([][]int32, len(sets))
+	for i, set := range sets {
+		for p := range set {
+			po, ok := merge.PackOcc(&set[p])
+			if !ok {
+				b.Fatalf("candidate %v does not pack", set[p])
+			}
+			ids[i] = append(ids[i], int32(len(dict)))
+			dict = append(dict, po)
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sel.Select(&m, sets[i%len(sets)], valids[i%len(valids)])
+		sel.SelectPacked(dict, &lim, ids[i%len(ids)], valids[i%len(valids)])
 	}
 }
 
 // BenchmarkMergeSelectRef measures the recursive reference tree walk on
-// the same inputs — the pre-compilation selection path, kept as the
-// refsim oracle. The gap to BenchmarkMergeSelect is the compiled
-// selector's win.
+// the same inputs — the refsim oracle's selection path. The gap to
+// BenchmarkMergeSelect is the packed evaluator's win.
 func BenchmarkMergeSelectRef(b *testing.B) {
 	m := isa.Default()
 	tree, err := merge.Parse("2SC3", 4)

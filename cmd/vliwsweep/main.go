@@ -8,7 +8,6 @@
 //	vliwsweep -schemes 2SC3,3SSS -mixes LLHH   # a sub-grid
 //	vliwsweep -schemes '2SC3,S(C(T0,T1,T2),T3)' -mixes LLHH  # custom tree
 //	vliwsweep -workers 8 -instr 1000000 -seed 3 -format json
-//	vliwsweep -batch 1 -mixes LLHH             # disable batched execution
 //	vliwsweep -sharedseed -progress
 //	vliwsweep -store results/ -mixes LLHH      # persistent result store
 //	vliwsweep -addr localhost:8080 -mixes LLHH # same grid, remote vliwserve
@@ -20,11 +19,6 @@
 // bit-identical at any -workers count; -sharedseed gives every job the
 // same seed instead (required when comparing schemes the paper treats as
 // functionally identical, e.g. C4 vs 3CCC).
-//
-// In-process sweeps batch shape-compatible jobs (same machine, same
-// benchmark list) through one shared cycle loop for throughput; -batch
-// caps the unit size, with 0 grouping automatically and 1 running every
-// job solo. Batching never changes results — only jobs/s.
 //
 // With -addr the grid is submitted to a running vliwserve instance
 // instead of the in-process engine; the determinism contract crosses
@@ -129,7 +123,6 @@ func main() {
 		schemes    = flag.String("schemes", "", "comma-separated merge schemes — names or tree expressions like C(S(T0,T1),T2,T3) (default: the paper's sixteen)")
 		mixes      = flag.String("mixes", "", "comma-separated Table 2 mixes (default: all nine)")
 		workers    = flag.Int("workers", 0, "worker pool size (0: runtime.NumCPU())")
-		batch      = flag.Int("batch", 0, "jobs per batched simulation unit for in-process sweeps (0: auto-group shape-compatible jobs; 1: run every job solo) — results are identical at any setting")
 		seed       = flag.Uint64("seed", 1, "sweep seed; per-job seeds derive from it")
 		instr      = flag.Int64("instr", 300_000, "per-thread instruction budget")
 		timeslice  = flag.Int64("timeslice", 0, "OS quantum in cycles (0: budget/100)")
@@ -143,6 +136,7 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 	)
+	flag.Int("batch", 0, "Deprecated: ignored; every job runs as its own dispatch unit")
 	flag.Parse()
 	switch *format {
 	case "text", "json", "csv":
@@ -230,7 +224,7 @@ func main() {
 			fatal("-jobs document carries neither a grid nor a job set")
 		}
 	}
-	opts := &vliwmt.SweepOptions{Workers: *workers, ResultDir: *store, Batch: *batch}
+	opts := &vliwmt.SweepOptions{Workers: *workers, ResultDir: *store}
 	if *progress {
 		opts.Progress = func(done, total int, r vliwmt.SweepResult) {
 			status := "ok"

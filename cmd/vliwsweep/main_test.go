@@ -91,39 +91,3 @@ func TestWarmStoreZeroSimulations(t *testing.T) {
 		t.Errorf("warm CSV differs from cold CSV:\ncold:\n%s\nwarm:\n%s", coldCSV, warmCSV)
 	}
 }
-
-// TestBatchFlagIdenticalRows pins the -batch contract at the CLI
-// boundary: the same grid swept with batching disabled (-batch 1),
-// auto-grouped (-batch 0) and explicitly capped emits identical output
-// rows — elapsed_sec excluded, as the only wall-clock column.
-func TestBatchFlagIdenticalRows(t *testing.T) {
-	grid := vliwmt.Grid{
-		Schemes:    []string{"2SC3", "3SSS"},
-		Mixes:      []string{"LLHH", "HHHH"},
-		InstrLimit: 10_000,
-		Seed:       5,
-	}
-	var want []row
-	for _, batch := range []int{1, 0, 3} {
-		results, err := vliwmt.Sweep(context.Background(), grid, &vliwmt.SweepOptions{Batch: batch})
-		if err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
-		}
-		rows := rowsFrom(results, func(err error) { t.Fatal(err) })
-		for i := range rows {
-			rows[i].ElapsedSec = 0
-		}
-		if want == nil {
-			want = rows
-			continue
-		}
-		if len(rows) != len(want) {
-			t.Fatalf("batch=%d: %d rows, want %d", batch, len(rows), len(want))
-		}
-		for i := range rows {
-			if rows[i] != want[i] {
-				t.Errorf("batch=%d row %d = %+v, want %+v", batch, i, rows[i], want[i])
-			}
-		}
-	}
-}

@@ -124,8 +124,8 @@ func TestFabricDeterminism(t *testing.T) {
 // TestFabricDeterminismGenerated extends the determinism contract to
 // synthetic workloads: random generated mixes (canonical "genmix:"
 // names, regenerated from the name on whichever box runs them) swept
-// solo (batching disabled), batched, and through a 2-worker fabric at
-// one job per shard must produce bit-identical snapshots. This is the
+// locally and through a 2-worker fabric at one job per shard must
+// produce bit-identical snapshots. This is the
 // end-to-end proof that a generated benchmark's name alone is a
 // sufficient wire format.
 func TestFabricDeterminismGenerated(t *testing.T) {
@@ -153,23 +153,11 @@ func TestFabricDeterminismGenerated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	solo := sweep.New(0)
-	solo.SetBatch(1)
-	soloResults, err := solo.Run(context.Background(), jobs)
+	local, err := sweep.New(0).Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := snapshotOf(t, soloResults)
-
-	batched := sweep.New(0)
-	batched.SetBatch(0)
-	batchedResults, err := batched.Run(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := resultstore.DiffSnapshots(want, snapshotOf(t, batchedResults)); !d.Clean() {
-		t.Fatalf("batched generated sweep differs from solo: %+v", d.Entries)
-	}
+	want := snapshotOf(t, local)
 
 	addrs := []string{startWorker(t, nil).URL, startWorker(t, nil).URL}
 	c := newCoordinator(t, Options{Workers: addrs, ShardJobs: 1})
@@ -178,7 +166,7 @@ func TestFabricDeterminismGenerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := resultstore.DiffSnapshots(want, snapshotOf(t, fabricResults)); !d.Clean() {
-		t.Fatalf("2-worker fabric generated sweep differs from solo: %+v", d.Entries)
+		t.Fatalf("2-worker fabric generated sweep differs from local: %+v", d.Entries)
 	}
 }
 

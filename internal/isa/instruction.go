@@ -128,8 +128,10 @@ func (o Occupancy) FitsAlone(m *Machine) bool {
 			return false
 		}
 	}
+	// Clusters the machine lacks must be entirely unused: a nonzero
+	// class count there, even with a zero Total, is not issueable.
 	for c := m.Clusters; c < MaxClusters; c++ {
-		if o.Clusters[c].Total > 0 {
+		if o.Clusters[c] != (ClusterUse{}) {
 			return false
 		}
 	}

@@ -152,10 +152,22 @@ func TestFitsAlone(t *testing.T) {
 	if brWrong.FitsAlone(&m) {
 		t.Error("branch on a non-branch cluster must not fit")
 	}
-	outside := Occupancy{}
-	outside.Clusters[6].Total = 1
-	if outside.FitsAlone(&m) {
-		t.Error("use of a cluster beyond the machine must not fit")
+	// Any nonzero count on a cluster the machine lacks must be
+	// rejected, including class counts under a zero Total.
+	for _, tc := range []struct {
+		name string
+		use  ClusterUse
+	}{
+		{"total", ClusterUse{Total: 1}},
+		{"mul without total", ClusterUse{Mul: 1}},
+		{"mem without total", ClusterUse{Mem: 1}},
+		{"branch without total", ClusterUse{Branch: 1}},
+	} {
+		outside := Occupancy{}
+		outside.Clusters[6] = tc.use
+		if outside.FitsAlone(&m) {
+			t.Errorf("%s on a cluster beyond the machine must not fit", tc.name)
+		}
 	}
 }
 

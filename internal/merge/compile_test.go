@@ -16,14 +16,14 @@ func TestCompileShapeDetection(t *testing.T) {
 		ports  int
 		want   evalKind
 	}{
-		{"3SSS", 4, evalFoldSMT},
-		{"1S", 2, evalFoldSMT},
+		{"3SSS", 4, evalFold},
+		{"1S", 2, evalFold},
 		{"3CCC", 4, evalFoldCSMT},
 		{"C4", 4, evalFoldCSMT},
 		{"C8", 8, evalFoldCSMT},
-		{"2SC3", 4, evalFoldMixed},
-		{"3SCC", 4, evalFoldMixed},
-		{"2C3S", 4, evalFoldMixed},
+		{"2SC3", 4, evalFold},
+		{"3SCC", 4, evalFold},
+		{"2C3S", 4, evalFold},
 		{"2SS", 4, evalStack},
 		{"2CC", 4, evalStack},
 		{"2CS", 4, evalStack},
@@ -50,7 +50,7 @@ func TestCompileFoldOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := Compile(tree)
-	if c.kind != evalFoldMixed {
+	if c.kind != evalFold {
 		t.Fatalf("permuted cascade compiled to evaluator %d, want fold", c.kind)
 	}
 	wantPorts := []uint8{2, 0, 3, 1}
@@ -118,7 +118,8 @@ func sortedCuts(r *rand.Rand, n, groups int) []int {
 
 // TestCompiledMatchesReferenceRandomTrees is the core differential: on
 // random trees of 2..8 ports and random candidate sets, the compiled
-// evaluator must reproduce the recursive reference selection exactly.
+// packed evaluator must reproduce the recursive reference selection
+// exactly.
 func TestCompiledMatchesReferenceRandomTrees(t *testing.T) {
 	m := isa.Default()
 	r := rand.New(rand.NewSource(2026))
@@ -128,17 +129,14 @@ func TestCompiledMatchesReferenceRandomTrees(t *testing.T) {
 		c := Compile(tree)
 		for i := 0; i < 50; i++ {
 			vals, valid := pack(randomCands(r, &m, n))
-			ref := tree.Select(&m, vals, valid)
-			fast := c.Select(&m, vals, valid)
-			if ref != fast {
-				t.Fatalf("tree %s: compiled %+v != reference %+v (valid %0*b)", tree, fast, ref, n, valid)
-			}
+			checkPacked(t, c, &m, vals, valid)
 		}
 	}
 }
 
-// TestCompiledSelectZeroAllocs: selection must never touch the heap —
-// the per-cycle contract the simulator's allocation-free core builds on.
+// TestCompiledSelectZeroAllocs: the Selector form of a compiled scheme
+// selects without touching the heap, like the packed form the
+// simulator's allocation-free core runs on.
 func TestCompiledSelectZeroAllocs(t *testing.T) {
 	m := isa.Default()
 	r := rand.New(rand.NewSource(11))
@@ -154,8 +152,8 @@ func TestCompiledSelectZeroAllocs(t *testing.T) {
 	}
 }
 
-// FuzzCompiledSelect cross-checks the compiled evaluator against the
-// reference walk on fuzz-chosen tree expressions and candidate sets.
+// FuzzCompiledSelect cross-checks the compiled packed evaluator against
+// the reference walk on fuzz-chosen tree expressions and candidate sets.
 func FuzzCompiledSelect(f *testing.F) {
 	f.Add("C(S(T0,T1),T2,T3)", uint64(1))
 	f.Add("S(C(T1,T0),C(T3,T2))", uint64(7))
@@ -170,11 +168,7 @@ func FuzzCompiledSelect(f *testing.F) {
 		c := Compile(tree)
 		for i := 0; i < 20; i++ {
 			vals, valid := pack(randomCands(r, &m, tree.Ports()))
-			ref := tree.Select(&m, vals, valid)
-			fast := c.Select(&m, vals, valid)
-			if ref != fast {
-				t.Fatalf("tree %s: compiled %+v != reference %+v", tree, fast, ref)
-			}
+			checkPacked(t, c, &m, vals, valid)
 		}
 	})
 }

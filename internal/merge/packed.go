@@ -2,7 +2,7 @@ package merge
 
 import "vliwmt/internal/isa"
 
-// Packed selection: the batched simulator's occupancy-free fast path.
+// Packed selection: the simulator's occupancy-free merge stage.
 //
 // A compiled evaluator consumes an occupancy only through three
 // questions — which clusters does it use (CSMT disjointness), do the
@@ -19,17 +19,16 @@ import "vliwmt/internal/isa"
 // counts are capped at packMax (63) and machine limits likewise, so
 // byte sums never carry into a neighbouring byte, and "count_a +
 // count_b > limit" becomes "byte + (127 - limit) has bit 7 set".
-// Clusters the solo path never checks (index >= Machine.Clusters, or
+// Clusters the reference walk never checks (index >= Machine.Clusters, or
 // clusters not used by both packets) are masked out of the overflow
-// word, which reproduces AccumSMT's skip rules exactly. The
-// differential tests in packed_test.go and the simulator's
-// batch-vs-solo suite enforce bit-identity with Select.
+// word, which reproduces CompatSMT's skip rules exactly. The
+// differential tests in packed_test.go and the simulator's refsim
+// suites enforce bit-identity with the tree's recursive Select.
 
 const (
 	// packMax bounds every packed per-cluster count and machine limit;
-	// beyond it the byte arithmetic could carry and callers must use
-	// the plain path. Real machines are nowhere near it (the default
-	// issue width is 4).
+	// beyond it the byte arithmetic could carry. Validated machines and
+	// programs never reach it: isa.MaxIssueWidth bounds every count.
 	packMax = 63
 
 	packLow7 = 0x7f7f7f7f7f7f7f7f // 127 in every byte
@@ -48,8 +47,8 @@ type PackedOcc struct {
 }
 
 // PackOcc converts an occupancy to packed form. It reports false when
-// any per-cluster count exceeds packMax, in which case the caller must
-// keep the plain evaluator.
+// any per-cluster count exceeds packMax; an occupancy that passed
+// Instruction.Validate always packs.
 func PackOcc(o *isa.Occupancy) (PackedOcc, bool) {
 	var p PackedOcc
 	for c := 0; c < isa.MaxClusters; c++ {
@@ -75,14 +74,14 @@ func PackOcc(o *isa.Occupancy) (PackedOcc, bool) {
 // sum exceeds the limit exactly when adding the constant sets bit 7.
 // Bytes for clusters the machine does not have are zero — with counts
 // capped at packMax the test bit can never fire there, mirroring the
-// plain path's c < Machine.Clusters loop bound.
+// reference walk's c < Machine.Clusters loop bound.
 type PackedLimits struct {
 	KT, KM, KL, KB uint64
 }
 
 // PackLimits converts a machine's merge constraints to packed form. It
-// reports false when any limit exceeds packMax (the SWAR byte headroom),
-// in which case callers must keep the plain evaluator.
+// reports false when any limit exceeds packMax (the SWAR byte headroom);
+// every machine Machine.Validate accepts packs.
 func PackLimits(m *isa.Machine) (PackedLimits, bool) {
 	var lim PackedLimits
 	if m.Clusters > isa.MaxClusters || m.IssueWidth > packMax || m.Muls > packMax || m.MemUnits > packMax {
@@ -120,11 +119,11 @@ type pentry struct {
 	mask       uint32
 }
 
-// SelectPacked selects exactly like Select, but from the batch-wide
+// SelectPacked selects exactly like Select, but from the run-wide
 // packed-occupancy dictionary d: ids[p] is the dictionary index of port
 // p's candidate (read only where valid has the bit set). It returns the
 // selected-port mask and the merged packet's operation count — the only
-// two facts of a Selection the batched cycle loop consumes. lim must be
+// two facts of a Selection the cycle loop consumes. lim must be
 // PackLimits of the same machine Select would receive, and every
 // dictionary entry must have come from PackOcc of the corresponding
 // candidate; under those premises the differential suites hold this
@@ -135,7 +134,7 @@ func (c *Compiled) SelectPacked(d []PackedOcc, lim *PackedLimits, ids []int32, v
 	switch c.kind {
 	case evalFoldCSMT:
 		return c.packedFoldCSMT(d, ids, valid)
-	case evalFoldSMT, evalFoldMixed:
+	case evalFold:
 		return c.packedFold(d, lim, ids, valid)
 	}
 	return c.packedStack(d, lim, ids, valid)
@@ -211,8 +210,8 @@ func (c *Compiled) packedFold(d []PackedOcc, lim *PackedLimits, ids []int32, val
 }
 
 // packedStack runs the general post-order program on packed entries,
-// mirroring selectStack's merge rules (incompatible inputs dropped
-// whole, in input order).
+// mirroring the reference walk's merge rules (incompatible inputs
+// dropped whole, in input order).
 //
 //vliw:hotpath
 func (c *Compiled) packedStack(d []PackedOcc, lim *PackedLimits, ids []int32, valid uint32) (uint32, uint8) {

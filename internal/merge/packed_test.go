@@ -11,7 +11,7 @@ import (
 // SelectPacked consumes: every distinct candidate value becomes one
 // dictionary entry (here simply one entry per port, which is a legal —
 // if maximally redundant — dictionary).
-func packDict(t *testing.T, vals []isa.Occupancy) ([]PackedOcc, []int32) {
+func packDict(t testing.TB, vals []isa.Occupancy) ([]PackedOcc, []int32) {
 	t.Helper()
 	d := make([]PackedOcc, len(vals))
 	ids := make([]int32, len(vals))
@@ -26,11 +26,27 @@ func packDict(t *testing.T, vals []isa.Occupancy) ([]PackedOcc, []int32) {
 	return d, ids
 }
 
+// checkPacked fails unless SelectPacked agrees with the tree's
+// recursive reference walk on the selected mask and the merged packet's
+// operation count — the two facts the simulator consumes.
+func checkPacked(t testing.TB, c *Compiled, m *isa.Machine, vals []isa.Occupancy, valid uint32) {
+	t.Helper()
+	lim, ok := PackLimits(m)
+	if !ok {
+		t.Fatalf("machine unpackable: %+v", m)
+	}
+	d, ids := packDict(t, vals)
+	ref := c.Tree().Select(m, vals, valid)
+	mask, ops := c.SelectPacked(d, &lim, ids, valid)
+	if mask != ref.Mask || ops != ref.Occ.Ops {
+		t.Fatalf("%s on %+v: packed (mask %04b, ops %d) != reference (mask %04b, ops %d), valid %04b",
+			c.Name(), *m, mask, ops, ref.Mask, ref.Occ.Ops, valid)
+	}
+}
+
 // TestSelectPackedMatchesSelect is the packed-path differential: on the
 // paper's schemes plus random trees, random machines and random
-// candidate sets, SelectPacked must agree with Select on the selected
-// mask and the merged packet's operation count — the two facts the
-// batched simulator consumes.
+// candidate sets, SelectPacked must agree with Tree.Select.
 func TestSelectPackedMatchesSelect(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	machines := []isa.Machine{isa.Default()}
@@ -43,21 +59,6 @@ func TestSelectPackedMatchesSelect(t *testing.T) {
 		m.BranchClusters = r.Intn(m.Clusters + 1)
 		machines = append(machines, m)
 	}
-	check := func(c *Compiled, m *isa.Machine, vals []isa.Occupancy, valid uint32) {
-		t.Helper()
-		lim, ok := PackLimits(m)
-		if !ok {
-			t.Fatalf("machine unpackable: %+v", m)
-		}
-		d, ids := packDict(t, vals)
-		ref := c.Select(m, vals, valid)
-		mask, ops := c.SelectPacked(d, &lim, ids, valid)
-		if mask != ref.Mask || ops != ref.Occ.Ops {
-			t.Fatalf("%s on %+v: packed (mask %04b, ops %d) != reference (mask %04b, ops %d), valid %04b",
-				c.Name(), *m, mask, ops, ref.Mask, ref.Occ.Ops, valid)
-		}
-	}
-
 	for _, name := range []string{"3SSS", "3CCC", "C4", "C8", "2SC3", "3SCC", "2C3S", "2SS", "2CC", "2CS", "2SC", "1S"} {
 		ports := 4
 		if name == "C8" {
@@ -71,7 +72,7 @@ func TestSelectPackedMatchesSelect(t *testing.T) {
 			mm := m
 			for i := 0; i < 60; i++ {
 				vals, valid := pack(randomCands(r, &mm, ports))
-				check(c, &mm, vals, valid)
+				checkPacked(t, c, &mm, vals, valid)
 			}
 		}
 	}
@@ -84,7 +85,7 @@ func TestSelectPackedMatchesSelect(t *testing.T) {
 			mm := m
 			for i := 0; i < 15; i++ {
 				vals, valid := pack(randomCands(r, &mm, n))
-				check(c, &mm, vals, valid)
+				checkPacked(t, c, &mm, vals, valid)
 			}
 		}
 	}
@@ -125,11 +126,20 @@ func TestPackOccRoundTrip(t *testing.T) {
 }
 
 // TestPackLimitsRejectsWideMachines: limits beyond the SWAR byte
-// headroom must force the plain path.
+// headroom are refused, and the widest machine Machine.Validate accepts
+// still packs.
 func TestPackLimitsRejectsWideMachines(t *testing.T) {
 	m := isa.Default()
 	if _, ok := PackLimits(&m); !ok {
 		t.Fatal("default machine must be packable")
+	}
+	m.IssueWidth, m.Muls, m.MemUnits = isa.MaxIssueWidth, isa.MaxIssueWidth, isa.MaxIssueWidth
+	m.Clusters, m.BranchClusters = isa.MaxClusters, isa.MaxClusters
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := PackLimits(&m); !ok {
+		t.Errorf("widest valid machine %+v does not pack", m)
 	}
 	m.IssueWidth = packMax + 1
 	if _, ok := PackLimits(&m); ok {
@@ -137,8 +147,8 @@ func TestPackLimitsRejectsWideMachines(t *testing.T) {
 	}
 }
 
-// TestSelectPackedZeroAllocs: the packed path shares the plain path's
-// per-cycle contract — no heap traffic.
+// TestSelectPackedZeroAllocs: packed selection runs every simulated
+// cycle, so it must never touch the heap.
 func TestSelectPackedZeroAllocs(t *testing.T) {
 	m := isa.Default()
 	lim, ok := PackLimits(&m)

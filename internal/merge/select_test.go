@@ -53,18 +53,14 @@ func pack(cands []*isa.Occupancy) ([]isa.Occupancy, uint32) {
 }
 
 // treeSelect runs both the recursive reference walk and the compiled
-// evaluator on cands and fails the test when they disagree, so every
-// tree selection in this suite doubles as a compiled-vs-reference
+// packed evaluator on cands and fails the test when they disagree, so
+// every tree selection in this suite doubles as a packed-vs-reference
 // differential check.
 func treeSelect(t testing.TB, tree *Tree, m *isa.Machine, cands []*isa.Occupancy) Selection {
 	t.Helper()
 	vals, valid := pack(cands)
-	ref := tree.Select(m, vals, valid)
-	fast := Compile(tree).Select(m, vals, valid)
-	if ref != fast {
-		t.Fatalf("%s: compiled selection %+v != reference %+v", tree.Name(), fast, ref)
-	}
-	return ref
+	checkPacked(t, Compile(tree), m, vals, valid)
+	return tree.Select(m, vals, valid)
 }
 
 func TestCascadeCSMTSelectsDisjoint(t *testing.T) {

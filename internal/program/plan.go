@@ -19,8 +19,9 @@ type PlannedInstr struct {
 	// gathering never touches the Instruction.
 	Occ isa.Occupancy
 	// OccID is the dense index of Occ in the plan's occupancy
-	// dictionary: equal IDs imply equal occupancy values, which lets a
-	// selection memo key on small integers instead of 33-byte structs.
+	// dictionary: equal IDs imply equal occupancy values, which lets the
+	// simulator index a packed occupancy table by small integers
+	// instead of copying 33-byte structs.
 	OccID int32
 	// Addr is the unrelocated fetch address; add Walker.CodeOffset.
 	Addr uint64
@@ -46,10 +47,11 @@ type PlannedInstr struct {
 
 // Plan is the flattened execution form of a Program: every instruction
 // of every block in one contiguous table, with successor flat indices
-// precomputed. A Plan is immutable after NewPlan and carries no
-// execution state, so one Plan is safely shared by any number of
-// Walkers across concurrent simulations — the batched simulation core
-// builds one per task and shares it across all lanes of a batch.
+// precomputed. A Plan carries no execution state. The simulator builds
+// a fresh Plan per task for every run and bakes that run's constants
+// (code-segment offset, dictionary base) into the records, so a Plan
+// is owned by one run and never shared; the Program it reads stays
+// immutable and is shared freely.
 type Plan struct {
 	P      *Program
 	Instrs []PlannedInstr

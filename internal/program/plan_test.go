@@ -99,9 +99,9 @@ func TestPlanShape(t *testing.T) {
 // TestRetirePlanMatchesRetire drives two same-seeded walkers over each
 // program — one through Retire, one through RetirePlan — and requires
 // identical memory accesses, branch outcomes, retire counts and fetch
-// addresses at every step. This is the equivalence the batched
-// simulation core rests on: RetirePlan must consume the walker RNG in
-// exactly Retire's draw order.
+// addresses at every step. This is the equivalence the simulator core
+// rests on against refsim, which retires through Retire: RetirePlan
+// must consume the walker RNG in exactly Retire's draw order.
 func TestRetirePlanMatchesRetire(t *testing.T) {
 	for _, p := range planPrograms(t) {
 		pl := program.NewPlan(p)

@@ -1,10 +1,10 @@
 package sim_test
 
 // The generative conformance harness: random profiles from the
-// synthetic workload generator swept through the optimized simulator,
-// the batched cycle loop and the naive reference oracle, asserting
-// bit-identical Results lane by lane across every paper scheme, the
-// IMT/BMT baselines and both memory models. Where diff_test.go pins
+// synthetic workload generator swept through the optimized simulator
+// and the naive reference oracle, asserting bit-identical Results
+// across every paper scheme, the IMT/BMT baselines and both memory
+// models. Where diff_test.go pins
 // the contract on the 13 hand-built kernels, this harness samples the
 // whole generator parameter space, so simulator/optimization bugs
 // that only manifest on unusual kernel shapes (degenerate widths,
@@ -48,9 +48,8 @@ func genTasks(t testing.TB, m isa.Machine, members [4]string) []sim.Task {
 }
 
 // TestGenerativeConformance sweeps random generated 4-thread mixes
-// through the full scheme x memory-model matrix three ways — sim.Run,
-// one sim.RunBatch over all configurations, and refsim.Run — and
-// requires all three to agree exactly. The full run covers 56 random
+// through the full scheme x memory-model matrix on sim.Run and
+// refsim.Run and requires the two to agree exactly. The full run covers 56 random
 // profiles (14 mixes x 4 members), satisfying the >=50-profile
 // acceptance bar; -short keeps a 16-profile smoke.
 func TestGenerativeConformance(t *testing.T) {
@@ -79,8 +78,8 @@ func TestGenerativeConformance(t *testing.T) {
 		profiles += len(mix.Members)
 		simSeed := rng.Uint64()
 
-		// The full scheme x memory matrix as batch lanes on one task
-		// list: scheme, contexts and memory model vary per lane.
+		// The full scheme x memory matrix on one task list: scheme,
+		// contexts and memory model vary per configuration.
 		var cfgs []sim.Config
 		var labels []string
 		for _, scheme := range schemes {
@@ -98,29 +97,18 @@ func TestGenerativeConformance(t *testing.T) {
 		}
 
 		t.Run(fmt.Sprintf("%02d_%s", iter, mixName), func(t *testing.T) {
-			batched, err := sim.RunBatch(cfgs, tasks)
-			if err != nil {
-				t.Fatalf("RunBatch: %v", err)
-			}
-			if len(batched) != len(cfgs) {
-				t.Fatalf("RunBatch returned %d lanes for %d configs", len(batched), len(cfgs))
-			}
-			for lane, cfg := range cfgs {
-				solo, err := sim.Run(cfg, tasks)
+			for i, cfg := range cfgs {
+				got, err := sim.Run(cfg, tasks)
 				if err != nil {
-					t.Fatalf("%s: sim.Run: %v", labels[lane], err)
+					t.Fatalf("%s: sim.Run: %v", labels[i], err)
 				}
 				ref, err := refsim.Run(cfg, tasks)
 				if err != nil {
-					t.Fatalf("%s: refsim.Run: %v", labels[lane], err)
+					t.Fatalf("%s: refsim.Run: %v", labels[i], err)
 				}
-				if !reflect.DeepEqual(solo, ref) {
+				if !reflect.DeepEqual(got, ref) {
 					t.Fatalf("%s: sim.Run diverges from refsim:\n optimized: %+v\n reference: %+v",
-						labels[lane], solo, ref)
-				}
-				if !reflect.DeepEqual(batched[lane], solo) {
-					t.Fatalf("%s: RunBatch lane %d diverges from solo run:\n batched: %+v\n solo: %+v",
-						labels[lane], lane, batched[lane], solo)
+						labels[i], got, ref)
 				}
 			}
 		})

@@ -1,0 +1,555 @@
+package sim
+
+import (
+	"fmt"
+	"math/bits"
+
+	"vliwmt/internal/cache"
+	"vliwmt/internal/isa"
+	"vliwmt/internal/merge"
+	"vliwmt/internal/program"
+)
+
+// selEmptyOps flags a packed selection whose merged word retires zero
+// operations; the low bits are the selected-port mask (selector widths
+// are far below 31 ports, so the flag bit can never collide).
+const selEmptyOps = uint32(1) << 31
+
+// cpu is one run's simulator state: every slice and scalar the cycle
+// loop touches is allocated once in newCPU, so the loop itself never
+// allocates (see DESIGN.md; TestSteadyStateZeroAllocs enforces it).
+//
+// Plans: each task's program is flattened once per run into a
+// program.Plan, and the run-specific constants are baked into its
+// records — the fetch address carries the task's code-segment offset
+// and the occupancy ID the run-wide dictionary base — so candidate
+// gathering reads one flat record per port.
+//
+// Layout: the per-task context state (current instruction, readyAt,
+// fetched, done, per-thread stats) lives in flat struct-of-arrays
+// slices indexed by task, so the cycle loop walks contiguous memory.
+//
+// Selection: a compiled tree scheme selects on the packed occupancy
+// dictionary (merge.SelectPacked) from the gathered dictionary IDs
+// alone, answering cluster disjointness and SMT slot capacity with a
+// few 64-bit SWAR operations. The stateful baselines (IMT, BMT) select
+// on occupancy values through the plain merge.Selector interface.
+type cpu struct {
+	cfg Config
+	m   isa.Machine
+	sel merge.Selector
+	// comp is sel when it is the stateless compiled evaluator; nil for
+	// the stateful baselines (BMT keeps cross-cycle state and must see
+	// every Select call).
+	comp   *merge.Compiled
+	ic, dc *cache.Cache
+
+	// plans[ti] is task ti's baked plan; plis[ti] is its Instrs, kept
+	// as a slice-header array so the gather reaches a PlannedInstr in a
+	// single hop.
+	plans []*program.Plan
+	plis  [][]program.PlannedInstr
+
+	// Per-task context state.
+	walkers []*program.Walker
+	cur     []int32 // flat plan index of the current instruction
+	readyAt []int64
+	fetched []bool
+	done    []bool
+	stats   []ThreadStats
+
+	// OS scheduling state: running maps hardware contexts to task
+	// indices (-1 = idle), pool holds descheduled tasks not yet done.
+	running []int
+	pool    []int
+	osRng   rng
+	slicing bool
+	nCtx    int
+	// nextSlice is the next timeslice boundary. The stall fast-forward
+	// never jumps past a boundary (nextEvent caps the span there), so
+	// the cycle loop visits every boundary exactly and an absolute
+	// next-boundary cycle replaces a per-cycle modulo.
+	nextSlice int64
+	// rotMask is nCtx-1 when nCtx is a power of two (priority rotation
+	// by mask instead of division), -1 otherwise.
+	rotMask   int64
+	fixedPrio bool
+
+	// Per-cycle buffers, reused across every cycle of the run: candID[p]
+	// is the dictionary ID of the candidate at merge port p, cands[p]
+	// its occupancy value (allocated only for the plain selectors), and
+	// ports[p] the context mapped to port p under the cycle's priority
+	// rotation.
+	cands  []isa.Occupancy
+	candID []int32
+	ports  []int
+
+	// pd is the run-wide packed occupancy dictionary and plim the
+	// machine's SWAR limit constants; both are set only when comp is.
+	pd   []merge.PackedOcc
+	plim merge.PackedLimits
+
+	res *Result
+	// ffSpans/ffCycles count stall fast-forward jumps and the cycles
+	// they skipped. Plain fields bumped inside the loop, flushed to the
+	// process-wide telemetry counters once, in finalize.
+	ffSpans, ffCycles int64
+	finished          bool
+}
+
+// newSelector resolves the run's merge control. One context needs no
+// merge stage: the trivial one-port IMT issues the lone thread alone.
+func newSelector(cfg *Config) (merge.Selector, error) {
+	if cfg.Contexts == 1 {
+		return &merge.IMT{NumPorts: 1}, nil
+	}
+	sch := cfg.Merge
+	if sch.IsZero() {
+		var err error
+		if sch, err = merge.Resolve(cfg.Scheme); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+	}
+	sel, err := sch.Selector(cfg.Contexts)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	if sel.Ports() != cfg.Contexts {
+		return nil, fmt.Errorf("sim: scheme %s has %d ports, machine has %d contexts", sch.Name(), sel.Ports(), cfg.Contexts)
+	}
+	return sel, nil
+}
+
+// newCPU validates cfg and tasks, applies the config defaults and
+// builds the run's state: selector, caches, baked plans, packed
+// dictionary and the initial OS schedule.
+func newCPU(cfg Config, tasks []Task) (*cpu, error) {
+	if err := cfg.Machine.Validate(); err != nil {
+		return nil, err
+	}
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("sim: no tasks")
+	}
+	if cfg.Contexts < 1 {
+		return nil, fmt.Errorf("sim: %d contexts", cfg.Contexts)
+	}
+	if cfg.InstrLimit < 1 {
+		return nil, fmt.Errorf("sim: instruction limit %d", cfg.InstrLimit)
+	}
+	if cfg.TimesliceCycles <= 0 {
+		cfg.TimesliceCycles = 1_000_000
+	}
+	if cfg.MaxCycles <= 0 {
+		cfg.MaxCycles = 400 * cfg.InstrLimit
+	}
+	sel, err := newSelector(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	var ic, dc *cache.Cache
+	if !cfg.PerfectMemory {
+		if ic, err = cache.New(cfg.ICache); err != nil {
+			return nil, fmt.Errorf("sim: icache: %w", err)
+		}
+		if dc, err = cache.New(cfg.DCache); err != nil {
+			return nil, fmt.Errorf("sim: dcache: %w", err)
+		}
+	}
+	m := cfg.Machine
+	for i, t := range tasks {
+		if t.Prog == nil {
+			return nil, fmt.Errorf("sim: task %d (%s) has no program", i, t.Name)
+		}
+		if err := t.Prog.Validate(&m); err != nil {
+			return nil, fmt.Errorf("sim: task %s: %w", t.Name, err)
+		}
+	}
+
+	nt := len(tasks)
+	c := &cpu{
+		cfg:       cfg,
+		m:         m,
+		sel:       sel,
+		ic:        ic,
+		dc:        dc,
+		plans:     make([]*program.Plan, nt),
+		plis:      make([][]program.PlannedInstr, nt),
+		walkers:   make([]*program.Walker, nt),
+		cur:       make([]int32, nt),
+		readyAt:   make([]int64, nt),
+		fetched:   make([]bool, nt),
+		done:      make([]bool, nt),
+		stats:     make([]ThreadStats, nt),
+		running:   make([]int, cfg.Contexts),
+		pool:      make([]int, 0, nt),
+		osRng:     rng{s: osSeed(&cfg)},
+		slicing:   nt > cfg.Contexts,
+		nCtx:      cfg.Contexts,
+		nextSlice: cfg.TimesliceCycles,
+		rotMask:   -1,
+		fixedPrio: cfg.FixedPriority,
+		candID:    make([]int32, cfg.Contexts),
+		ports:     make([]int, cfg.Contexts),
+		res: &Result{
+			MergeHist:  make([]int64, cfg.Contexts+1),
+			IssueWidth: m.TotalIssueWidth(),
+		},
+	}
+	if cfg.Contexts&(cfg.Contexts-1) == 0 {
+		c.rotMask = int64(cfg.Contexts - 1)
+	}
+	// Bake the per-task constants into freshly built plans: the fetch
+	// address gets the walker's code-segment offset and the occupancy ID
+	// its run-wide dictionary base, removing two lookups and two adds
+	// from every port of every simulated cycle.
+	var occs int32
+	for i, t := range tasks {
+		w := newTaskWalker(&cfg, i, t)
+		pl := program.NewPlan(t.Prog)
+		for j := range pl.Instrs {
+			pl.Instrs[j].Addr += w.CodeOffset
+			pl.Instrs[j].OccID += occs
+		}
+		occs += int32(pl.NumOccs)
+		c.walkers[i], c.plans[i], c.plis[i] = w, pl, pl.Instrs
+		c.stats[i].Name = t.Name
+		c.pool = append(c.pool, i)
+	}
+	if comp, ok := sel.(*merge.Compiled); ok {
+		// Validated programs on validated machines always pack: counts
+		// and limits are bounded by isa.MaxIssueWidth, far below the
+		// SWAR byte headroom. A failure here is a broken invariant.
+		lim, ok := merge.PackLimits(&m)
+		if !ok {
+			return nil, fmt.Errorf("sim: internal error: machine %+v does not pack", m)
+		}
+		c.comp, c.plim = comp, lim
+		c.pd = make([]merge.PackedOcc, occs)
+		for i := range c.plis {
+			for j := range c.plis[i] {
+				pi := &c.plis[i][j]
+				if c.pd[pi.OccID], ok = merge.PackOcc(&pi.Occ); !ok {
+					return nil, fmt.Errorf("sim: internal error: task %s occupancy %v does not pack", tasks[i].Name, pi.Occ)
+				}
+			}
+		}
+	} else {
+		c.cands = make([]isa.Occupancy, cfg.Contexts)
+	}
+	for i := range c.running {
+		c.running[i] = -1
+	}
+	c.schedule()
+	return c, nil
+}
+
+// run is the cycle loop. It must stay bit-identical to the naive
+// reference loop in internal/refsim — the invariants that make its
+// shortcuts sound are spelled out in DESIGN.md, and the refsim
+// differential tests enforce the equivalence. Each step returns the
+// next cycle at which the run's state can change: cycle+1 after an
+// active cycle, or the next event after an all-stalled one.
+//
+//vliw:hotpath
+func (c *cpu) run() *Result {
+	var cycle int64
+	for cycle < c.cfg.MaxCycles {
+		var next int64
+		if c.nCtx == 1 {
+			next = c.stepSingle(cycle)
+		} else {
+			next = c.step(cycle)
+		}
+		if c.finished {
+			return c.finalize(cycle + 1)
+		}
+		cycle = next
+	}
+	return c.finalize(c.cfg.MaxCycles)
+}
+
+// schedule returns running tasks to the pool, then draws random
+// replacements (the paper picks replacement threads at random for
+// fairness).
+//
+// The pool delete deliberately stays the order-preserving O(n)
+// copy-down, not an O(1) swap-remove: the drawn index k comes from the
+// OS RNG, so which *task* a draw selects depends on the pool's element
+// order. Swap-remove would permute that order, pick different
+// replacement threads for the same seed, and break both bit-identical
+// reproducibility across versions and the refsim differential oracle.
+// The pool holds at most len(tasks) entries and schedule runs once per
+// timeslice, so the O(n) delete is irrelevant to throughput.
+//
+//vliw:hotpath
+func (c *cpu) schedule() {
+	for ctx, ti := range c.running {
+		if ti >= 0 && !c.done[ti] {
+			c.pool = append(c.pool, ti)
+		}
+		c.running[ctx] = -1
+	}
+	for ctx := 0; ctx < c.nCtx && len(c.pool) > 0; ctx++ {
+		k := c.osRng.intn(len(c.pool))
+		c.running[ctx] = c.pool[k]
+		c.pool = append(c.pool[:k], c.pool[k+1:]...)
+	}
+}
+
+// nextEvent returns the earliest cycle after now at which a candidate
+// can reappear: the soonest readyAt among running threads (a thread
+// whose stall already elapsed counts as now+1), the next timeslice
+// boundary when descheduled tasks exist, or MaxCycles. Between now and
+// that cycle every context stays candidate-free, so the run's state
+// cannot change — the fast-forward invariant DESIGN.md spells out.
+//
+//vliw:hotpath
+func (c *cpu) nextEvent(now int64) int64 {
+	next := c.cfg.MaxCycles
+	if c.slicing && c.nextSlice < next {
+		// nextSlice is maintained by step: when this runs it is always
+		// the first boundary after now, so no division is needed.
+		next = c.nextSlice
+	}
+	for _, ti := range c.running {
+		if ti < 0 || c.done[ti] {
+			continue
+		}
+		e := c.readyAt[ti]
+		if e <= now {
+			e = now + 1
+		}
+		if e < next {
+			next = e
+		}
+	}
+	if next <= now {
+		next = now + 1
+	}
+	return next
+}
+
+// fastForward bulk-accounts an all-stalled span from cycle to the next
+// event and returns that event's cycle. Selectors are pure on empty
+// input (Selector contract), so skipping their Select calls cannot
+// change later selections.
+//
+//vliw:hotpath
+func (c *cpu) fastForward(cycle int64) int64 {
+	next := c.nextEvent(cycle)
+	span := next - cycle
+	c.res.MergeHist[0] += span
+	c.res.EmptyCycles += span
+	c.ffSpans++
+	c.ffCycles += span
+	return next
+}
+
+// step advances a multi-context run by one cycle: timeslice
+// scheduling, priority rotation, candidate gathering (plan-driven — the
+// occupancy ID and fetch address come from the flat PlannedInstr
+// record), merge selection, retirement. An all-stalled cycle
+// fast-forwards to the next event instead.
+//
+//vliw:hotpath
+func (c *cpu) step(cycle int64) int64 {
+	if c.slicing && cycle == c.nextSlice {
+		c.schedule()
+		c.nextSlice = cycle + c.cfg.TimesliceCycles
+	}
+	nCtx := c.nCtx
+	// Priority rotation: the thread-to-port mapping advances each cycle
+	// so every thread takes every position in the merge tree.
+	rot := 0
+	if !c.fixedPrio {
+		if c.rotMask >= 0 {
+			rot = int(cycle & c.rotMask)
+		} else {
+			rot = int(cycle % int64(nCtx))
+		}
+	}
+	var valid uint32
+	for p := 0; p < nCtx; p++ {
+		ctx := p + rot
+		if ctx >= nCtx {
+			ctx -= nCtx
+		}
+		c.ports[p] = ctx
+		ti := c.running[ctx]
+		if ti < 0 {
+			continue
+		}
+		if c.done[ti] || c.readyAt[ti] > cycle {
+			continue
+		}
+		pi := &c.plis[ti][c.cur[ti]]
+		if !c.fetched[ti] {
+			c.fetched[ti] = true // the line arrives during any stall
+			if c.ic != nil && !c.ic.Access(pi.Addr, false) {
+				pen := int64(c.ic.MissPenalty())
+				c.readyAt[ti] = cycle + pen
+				c.stats[ti].StallFetch += pen
+				continue
+			}
+		}
+		if c.cands != nil {
+			c.cands[p] = pi.Occ
+		}
+		c.candID[p] = pi.OccID
+		valid |= 1 << uint(p)
+	}
+
+	if valid == 0 {
+		return c.fastForward(cycle)
+	}
+
+	selv := c.selectCands(valid)
+	mask := selv &^ selEmptyOps
+	c.res.MergeHist[bits.OnesCount32(mask)]++
+	if selv&selEmptyOps != 0 {
+		c.res.EmptyCycles++
+	}
+
+	for p := 0; p < nCtx; p++ {
+		if valid&(1<<uint(p)) == 0 {
+			continue
+		}
+		ti := c.running[c.ports[p]]
+		c.stats[ti].ScheduledCycles++
+		if mask&(1<<uint(p)) == 0 {
+			c.stats[ti].ConflictCycles++
+			continue
+		}
+		if c.retireOne(ti, cycle) {
+			c.done[ti] = true
+			c.finished = true
+		}
+	}
+	return cycle + 1
+}
+
+// stepSingle advances a single-context run by one cycle: with one
+// hardware context there is no merge stage (a runnable thread always
+// issues alone), and the cycle reduces to fetch, retire and stall
+// fast-forward.
+//
+//vliw:hotpath
+func (c *cpu) stepSingle(cycle int64) int64 {
+	if c.slicing && cycle == c.nextSlice {
+		c.schedule()
+		c.nextSlice = cycle + c.cfg.TimesliceCycles
+	}
+	ti := c.running[0]
+	ready := ti >= 0 && !c.done[ti] && c.readyAt[ti] <= cycle
+	if ready && !c.fetched[ti] {
+		pi := &c.plis[ti][c.cur[ti]]
+		c.fetched[ti] = true // the line arrives during any stall
+		if c.ic != nil && !c.ic.Access(pi.Addr, false) {
+			pen := int64(c.ic.MissPenalty())
+			c.readyAt[ti] = cycle + pen
+			c.stats[ti].StallFetch += pen
+			ready = false
+		}
+	}
+	if !ready {
+		return c.fastForward(cycle)
+	}
+	pi := &c.plis[ti][c.cur[ti]]
+	c.res.MergeHist[1]++
+	if pi.Occ.Ops == 0 {
+		c.res.EmptyCycles++
+	}
+	c.stats[ti].ScheduledCycles++
+	if c.retireOne(ti, cycle) {
+		c.done[ti] = true
+		c.finished = true
+	}
+	return cycle + 1
+}
+
+// selectCands runs the merge stage for the gathered candidates and
+// returns the selected-port mask in the low bits plus the selEmptyOps
+// flag — the only two facts the cycle loop consumes from a selection.
+// For the compiled evaluator a lone candidate is always selected whole
+// (every tree node passes a single non-empty input through unmerged),
+// so the evaluator walk is skipped; multi-candidate cycles run
+// SelectPacked on the dictionary. The plain selectors see every call.
+//
+//vliw:hotpath
+func (c *cpu) selectCands(valid uint32) uint32 {
+	var mask uint32
+	var ops uint8
+	switch {
+	case c.comp == nil:
+		s := c.sel.Select(&c.m, c.cands, valid)
+		mask, ops = s.Mask, s.Occ.Ops
+	case valid&(valid-1) == 0:
+		mask, ops = valid, c.pd[c.candID[bits.TrailingZeros32(valid)]].Ops
+	default:
+		mask, ops = c.comp.SelectPacked(c.pd, &c.plim, c.candID, valid)
+	}
+	if ops == 0 {
+		mask |= selEmptyOps
+	}
+	return mask
+}
+
+// retireOne retires task ti's current instruction at cycle, driven by
+// its plan: the memory-op recipe and operation count come precomputed
+// from the PlannedInstr, and the successor is a flat index. It updates
+// run totals and the thread's stall clock, and reports whether the
+// thread hit its instruction budget (ending the run).
+//
+//vliw:hotpath
+func (c *cpu) retireOne(ti int, cycle int64) bool {
+	f := c.cur[ti]
+	next, mem, taken := c.walkers[ti].RetirePlan(c.plans[ti], f)
+	pi := &c.plis[ti][f]
+	c.cur[ti] = next
+	c.fetched[ti] = false
+	c.stats[ti].Instrs++
+	c.stats[ti].Ops += int64(pi.Ops)
+	c.res.Instrs++
+	c.res.Ops += int64(pi.Ops)
+
+	var memStall, brStall int64
+	for i := range mem {
+		if c.dc != nil && !c.dc.Access(mem[i].Addr, mem[i].Store) {
+			memStall += int64(c.dc.MissPenalty())
+		}
+	}
+	if taken {
+		brStall = int64(c.m.BranchPenalty)
+	}
+	// Both a blocking miss and a squash stall the front end; they
+	// overlap, so the thread resumes after the longer of the two.
+	stall := memStall
+	if brStall > stall {
+		stall = brStall
+	}
+	if stall > 0 {
+		c.readyAt[ti] = cycle + 1 + stall
+		c.stats[ti].StallMem += memStall
+		c.stats[ti].StallBranch += brStall
+	}
+	return c.walkers[ti].Retired >= c.cfg.InstrLimit
+}
+
+// finalize closes the run at the given cycle count.
+func (c *cpu) finalize(cycles int64) *Result {
+	res := c.res
+	res.Cycles = cycles
+	res.TimedOut = !c.finished
+	if res.Cycles > 0 {
+		res.IPC = float64(res.Ops) / float64(res.Cycles)
+	}
+	res.Threads = append(res.Threads, c.stats...)
+	if c.ic != nil {
+		res.ICache = c.ic.Stats
+	}
+	if c.dc != nil {
+		res.DCache = c.dc.Stats
+	}
+	recordRunMetrics(res, c.ffSpans, c.ffCycles)
+	return res
+}

@@ -123,7 +123,8 @@ func TestDifferentialTimeout(t *testing.T) {
 // TestDifferentialRandomConfigs fuzzes the configuration space: random
 // schemes (including FixedPriority, baselines, single context, task
 // counts above and below the context count, odd cache geometries and
-// timeslices), each compared run-for-run against the oracle.
+// timeslices, and every fifth run timing out), each compared
+// run-for-run against the oracle.
 func TestDifferentialRandomConfigs(t *testing.T) {
 	m := isa.Default()
 	all := diffTasks(t, m)
@@ -153,6 +154,11 @@ func TestDifferentialRandomConfigs(t *testing.T) {
 		if !cfg.PerfectMemory {
 			cfg.DCache = cache.Config{Size: 4 << 10, LineSize: 64, Ways: 2, MissPenalty: r.Intn(200)}
 		}
+		if i%5 == 4 {
+			// A thread retires at most one instruction per cycle, so
+			// this bound always cuts the run short.
+			cfg.MaxCycles = cfg.InstrLimit / 2
+		}
 		nTasks := 1 + r.Intn(len(all))
 		if nTasks < contexts {
 			nTasks = contexts
@@ -179,27 +185,46 @@ func TestDifferentialIMTFewerTasksThanContexts(t *testing.T) {
 
 // TestSteadyStateZeroAllocs asserts the allocation-free core: heap
 // allocations must not grow with simulated cycles. Each Run pays a
-// fixed setup cost (states, walkers, caches, the per-run core buffers);
-// a 6x longer run must allocate nothing more.
+// fixed setup cost (walkers, plans, caches, the per-run buffers); a 6x
+// longer run must allocate nothing more. The cases cover the packed
+// tree path, the plain IMT/BMT selectors, the single-context loop and
+// perfect memory, each with more tasks than contexts so timeslicing
+// runs too.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	m := isa.Default()
 	tasks := diffTasks(t, m)[:4]
-	measure := func(instrs int64) float64 {
-		cfg := sim.DefaultConfig()
-		cfg.Scheme = "2SC3"
-		cfg.InstrLimit = instrs
-		cfg.TimesliceCycles = 1_000
-		cfg.DCache = cache.Config{Size: 8 << 10, LineSize: 64, Ways: 2, MissPenalty: 20}
-		return testing.AllocsPerRun(5, func() {
-			if _, err := sim.Run(cfg, tasks); err != nil {
-				t.Fatal(err)
-			}
-		})
+	cases := []struct {
+		scheme   string
+		contexts int
+		perfect  bool
+	}{
+		{"2SC3", 4, false},
+		{"C4", 4, true},
+		{"IMT", 2, false},
+		{"BMT", 2, false},
+		{"", 1, false},
 	}
-	short := measure(2_000)
-	long := measure(12_000)
-	if long > short {
-		t.Errorf("allocations grew with run length: %.1f for 2k instrs, %.1f for 12k — the cycle loop allocates", short, long)
+	for _, tc := range cases {
+		measure := func(instrs int64) float64 {
+			cfg := sim.DefaultConfig()
+			cfg.Scheme = tc.scheme
+			cfg.Contexts = tc.contexts
+			cfg.PerfectMemory = tc.perfect
+			cfg.InstrLimit = instrs
+			cfg.TimesliceCycles = 1_000
+			cfg.DCache = cache.Config{Size: 8 << 10, LineSize: 64, Ways: 2, MissPenalty: 20}
+			return testing.AllocsPerRun(5, func() {
+				if _, err := sim.Run(cfg, tasks); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short := measure(2_000)
+		long := measure(12_000)
+		if long > short {
+			t.Errorf("%s/c%d/perfect=%v: allocations grew with run length: %.1f for 2k instrs, %.1f for 12k — the cycle loop allocates",
+				tc.scheme, tc.contexts, tc.perfect, short, long)
+		}
 	}
 }
 

@@ -23,19 +23,6 @@ var (
 		"Cycles skipped (bulk-accounted) by the stall fast-forward.")
 	metMerges = telemetry.NewCounter("sim_merges_total",
 		"Thread merges performed: sum over cycles of (threads issued together - 1).")
-
-	// Batched-core instruments, flushed once per RunBatch.
-	metBatchRuns = telemetry.NewCounter("sim_batch_runs_total",
-		"Batched executions completed (sim.RunBatch returns).")
-	metBatchJobs = telemetry.NewCounter("sim_batch_jobs_total",
-		"Jobs simulated through the batched core (lanes across all batches).")
-	metBatchFFSpans = telemetry.NewCounter("sim_batch_fastforward_spans_total",
-		"Batch-wide fast-forward jumps (every live lane sleeping past an epoch boundary).")
-	metBatchFFCycles = telemetry.NewCounter("sim_batch_fastforward_cycles_total",
-		"Cycles the batch driver skipped in batch-wide fast-forward jumps.")
-	metBatchLaneOcc = telemetry.NewHistogram("sim_batch_lane_occupancy",
-		"Live lanes per batch cycle, cycle-weighted (one observation per simulated cycle).",
-		[]float64{1, 2, 4, 8, 16, 32, 64})
 )
 
 // recordRunMetrics flushes one finished run into the process-wide
@@ -55,20 +42,4 @@ func recordRunMetrics(res *Result, ffSpans, ffCycles int64) {
 		}
 	}
 	metMerges.Add(merges)
-}
-
-// recordBatchMetrics flushes one finished batch into the process-wide
-// instruments: the per-cycle lane-occupancy distribution (bulk
-// observations, one per simulated cycle) and the batch-wide
-// fast-forward counters. Like recordRunMetrics it runs once per batch
-// from plain fields the loop already maintained, so the
-// zero-allocs/cycle invariant is untouched.
-func recordBatchMetrics(b *batchCore) {
-	metBatchRuns.Inc()
-	metBatchJobs.Add(int64(len(b.lanes)))
-	metBatchFFSpans.Add(b.bFFSpans)
-	metBatchFFCycles.Add(b.bFFCycles)
-	for k, cycles := range b.occCycles {
-		metBatchLaneOcc.ObserveN(float64(k), cycles)
-	}
 }

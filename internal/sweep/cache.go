@@ -24,13 +24,22 @@ type compileEntry struct {
 	err  error
 }
 
+// maxCompileEntries bounds a CompileCache. A long-lived server or fabric
+// worker meets an unbounded stream of generated kernel names; past the
+// bound the oldest entry is evicted and recompiled on its next use
+// (a compile costs about 0.1 ms). Callers already holding an evicted
+// entry keep using it.
+const maxCompileEntries = 1024
+
 // CompileCache memoizes kernel compilation per (benchmark, machine), so a
 // sweep compiles each kernel once no matter how many jobs reference it.
+// It holds at most maxCompileEntries kernels, evicting the oldest first.
 // Compiled programs are read-only to the simulator and safe to share
 // between concurrent jobs. The zero value is not usable; call NewCompileCache.
 type CompileCache struct {
 	mu      sync.Mutex
 	entries map[compileKey]*compileEntry
+	order   []compileKey // insertion order, oldest first
 
 	compiles atomic.Int64
 	hits     atomic.Int64
@@ -61,6 +70,11 @@ func (c *CompileCache) Get(bench string, m isa.Machine) (*program.Program, error
 	if !ok {
 		e = &compileEntry{}
 		c.entries[key] = e
+		c.order = append(c.order, key)
+		if len(c.order) > maxCompileEntries {
+			delete(c.entries, c.order[0])
+			c.order = c.order[1:]
+		}
 	}
 	c.mu.Unlock()
 	if ok {

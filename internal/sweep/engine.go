@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,14 +49,7 @@ type Engine struct {
 	cache    *CompileCache
 	progress ProgressFunc
 	store    ResultStore
-	batch    int
 }
-
-// autoBatchCap bounds auto-formed batch units. Beyond a few dozen
-// lanes the shared-plan and selection-memo wins are already amortised,
-// while bigger units coarsen cancellation and progress granularity and
-// grow the batch's working set past cache comfort.
-const autoBatchCap = 32
 
 // PoolSize resolves a requested worker count to the effective pool
 // size: values <= 0 select runtime.NumCPU(). It is the single owner of
@@ -102,24 +94,13 @@ func (e *Engine) SetProgress(fn ProgressFunc) { e.progress = fn }
 // correctness dependency.
 func (e *Engine) SetStore(s ResultStore) { e.store = s }
 
-// SetBatch configures job batching through sim.RunBatch: n <= 0 (the
-// default) groups pending jobs by shape — same machine, same benchmark
-// list — into units of at most autoBatchCap lanes; n == 1 disables
-// batching (every job runs the solo sim.Run path); n > 1 caps units at
-// n lanes. Batching is a scheduling decision only: per-job results,
-// seeds, ordering, progress and store interactions are identical at
-// every setting — the batched core is bit-identical to the solo one.
-func (e *Engine) SetBatch(n int) { e.batch = n }
-
-// Batch returns the configured batching cap (0 = auto).
-func (e *Engine) Batch() int { return e.batch }
-
 // Run executes every job and returns one Result per job, ordered by job
 // index regardless of completion order. Individual job failures are
 // collected on their Result (and joined into the returned error); they
-// do not stop the sweep. Cancelling ctx stops dispatching new jobs:
-// already-running jobs finish, skipped jobs carry the context's error,
-// and the partial results are returned with that error.
+// do not stop the sweep. Cancellation is per job: cancelling ctx stops
+// dispatching new jobs, each job already running finishes, skipped
+// jobs carry the context's error, and the partial results are returned
+// with that error.
 func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -138,17 +119,14 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 		results[i] = Result{Index: i, Job: jobs[i]}
 	}
 
-	// Dispatch in shape-homogeneous units: each unit's jobs share
-	// compiled programs (same machine, same benchmarks) and run through
-	// one batched cycle loop. SetBatch(1) degrades every unit to a
-	// single job, which is exactly the pre-batching engine.
-	units := e.batchUnits(jobs)
-	unitCh := make(chan []int)
+	// Every job is its own dispatch unit, so a sweep runs
+	// min(workers, jobs) jobs at once.
+	jobCh := make(chan int)
 	go func() {
-		defer close(unitCh)
-		for _, u := range units {
+		defer close(jobCh)
+		for i := range jobs {
 			select {
-			case unitCh <- u:
+			case jobCh <- i:
 			case <-ctx.Done():
 				return
 			}
@@ -161,24 +139,17 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for unit := range unitCh {
+			for i := range jobCh {
 				if err := ctx.Err(); err != nil {
-					// Cancellation is unit-granular: a unit already
-					// dispatched runs to completion, later units are
-					// skipped whole.
-					for _, i := range unit {
-						results[i].Err = err
-						metJobsErrored.Inc()
-						metQueueDepth.Add(-1)
-						st.processed.Add(1)
-					}
+					// A job already running finishes; jobs dispatched
+					// after cancellation are skipped.
+					results[i].Err = err
+					metJobsErrored.Inc()
+					metQueueDepth.Add(-1)
+					st.processed.Add(1)
 					continue
 				}
-				if len(unit) == 1 {
-					e.runSolo(st, unit[0])
-				} else {
-					e.runUnit(st, unit)
-				}
+				e.runOne(st, i)
 			}
 		}()
 	}
@@ -229,63 +200,9 @@ type sweepState struct {
 	logger    *slog.Logger
 }
 
-// shapeKey renders the part of a job the batched core requires to be
-// common across a batch: the machine (which determines compilation)
-// and the exact benchmark list (which determines the task vector and
-// the per-task seeds/relocations). Everything else — scheme, contexts,
-// caches, budgets, seeds — may vary freely between lanes.
-func shapeKey(j Job) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%+v", j.Machine)
-	for _, n := range j.Benchmarks {
-		b.WriteByte('|')
-		b.WriteString(n)
-	}
-	return b.String()
-}
-
-// batchUnits partitions job indices into dispatch units: singleton
-// units when batching is off, else shape groups in first-seen order,
-// chunked to the configured cap. Unit formation is deterministic in
-// the job list alone, and per-job results never depend on it.
-func (e *Engine) batchUnits(jobs []Job) [][]int {
-	limit := e.batch
-	if limit == 1 {
-		units := make([][]int, len(jobs))
-		for i := range jobs {
-			units[i] = []int{i}
-		}
-		return units
-	}
-	if limit <= 0 {
-		limit = autoBatchCap
-	}
-	groupOf := map[string]int{}
-	var groups [][]int
-	for i := range jobs {
-		k := shapeKey(jobs[i])
-		gi, ok := groupOf[k]
-		if !ok {
-			gi = len(groups)
-			groupOf[k] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], i)
-	}
-	units := make([][]int, 0, len(groups))
-	for _, g := range groups {
-		for len(g) > limit {
-			units = append(units, g[:limit])
-			g = g[limit:]
-		}
-		units = append(units, g)
-	}
-	return units
-}
-
-// runSolo processes one job exactly as the pre-batching engine did:
-// store probe, compile through the shared cache, solo sim.Run.
-func (e *Engine) runSolo(st *sweepState, i int) {
+// runOne processes one job: store probe, compile through the shared
+// cache, sim.Run, store write-back.
+func (e *Engine) runOne(st *sweepState, i int) {
 	metJobsStarted.Inc()
 	//vliwvet:allow detpure job wall time feeds the duration histogram only
 	jobStart := time.Now()
@@ -313,93 +230,10 @@ func (e *Engine) runSolo(st *sweepState, i int) {
 	e.finishJob(st, i, time.Since(jobStart))
 }
 
-// runUnit processes a shape-homogeneous unit through the batched core.
-// Every per-job interaction is preserved: each job gets its own store
-// probe (hits drop out of the batch), its own validation and its own
-// compile-cache lookups, and progress/telemetry fire once per job.
-// Only the cycle loop is shared — and sim.RunBatch is bit-identical to
-// sim.Run lane by lane, so results cannot depend on unit formation.
-func (e *Engine) runUnit(st *sweepState, unit []int) {
-	//vliwvet:allow detpure job wall time feeds the duration histogram only
-	unitStart := time.Now()
-	lanes := make([]int, 0, len(unit))
-	cfgs := make([]sim.Config, 0, len(unit))
-	var tasks []sim.Task
-	for _, i := range unit {
-		metJobsStarted.Inc()
-		if e.store != nil {
-			if res, elapsed, ok := e.store.Get(st.jobs[i]); ok {
-				st.results[i].Res, st.results[i].Elapsed, st.results[i].Cached = res, elapsed, true
-				continue
-			}
-		}
-		if err := st.jobs[i].Validate(); err != nil {
-			st.results[i].Err = err
-			continue
-		}
-		// Compile through the cache per job, not once per unit: the
-		// hit/miss accounting and pre-warm semantics must not depend on
-		// batching. Lookups past the unit's first are cheap map hits
-		// returning the same *Program pointers.
-		jt, err := e.compileTasks(st.jobs[i])
-		if err != nil {
-			st.results[i].Err = err
-			continue
-		}
-		if tasks == nil {
-			tasks = jt
-		}
-		cfgs = append(cfgs, st.jobs[i].config())
-		lanes = append(lanes, i)
-	}
-	if len(lanes) > 0 {
-		//vliwvet:allow detpure Elapsed is a wall-clock column, excluded from the determinism contract
-		simStart := time.Now()
-		ress, err := sim.RunBatch(cfgs, tasks)
-		if err != nil {
-			// A lane the batch entry rejects (a config defect Validate
-			// does not cover, e.g. a non-positive instruction budget)
-			// falls back to solo runs so the failure stays attributed to
-			// its job instead of poisoning the unit.
-			for _, i := range lanes {
-				//vliwvet:allow detpure Elapsed is a wall-clock column, excluded from the determinism contract
-				soloStart := time.Now()
-				res, jerr := sim.Run(st.jobs[i].config(), tasks)
-				st.results[i].Res, st.results[i].Err = res, jerr
-				//vliwvet:allow detpure Elapsed is a wall-clock column, excluded from the determinism contract
-				st.results[i].Elapsed = time.Since(soloStart)
-				if jerr == nil && e.store != nil {
-					_ = e.store.Put(st.jobs[i], res, st.results[i].Elapsed)
-				}
-			}
-		} else {
-			// Elapsed is the amortised per-lane share of the batch's
-			// wall-clock. Wall time is informational and excluded from
-			// the determinism contract; the share keeps sweep summaries
-			// and stored replay times meaningful.
-			//vliwvet:allow detpure Elapsed is a wall-clock column, excluded from the determinism contract
-			share := time.Since(simStart) / time.Duration(len(lanes))
-			for k, i := range lanes {
-				st.results[i].Res = ress[k]
-				st.results[i].Elapsed = share
-				if e.store != nil {
-					_ = e.store.Put(st.jobs[i], ress[k], share)
-				}
-			}
-		}
-	}
-	//vliwvet:allow detpure job wall time feeds the duration histogram only
-	took := time.Since(unitStart) / time.Duration(len(unit))
-	for _, i := range unit {
-		e.finishJob(st, i, took)
-	}
-}
-
-// finishJob is the per-job completion tail shared by the solo and
-// batched paths: the duration observation, outcome counters,
-// queue-depth release, per-job trace and the serialised progress
-// callback (done increments by exactly one per call, as documented on
-// ProgressFunc, at any batch setting).
+// finishJob is the per-job completion tail: the duration observation,
+// outcome counters, queue-depth release, per-job trace and the
+// serialised progress callback (done increments by exactly one per
+// call, as documented on ProgressFunc).
 func (e *Engine) finishJob(st *sweepState, i int, took time.Duration) {
 	metJobDuration.Observe(took.Seconds())
 	if st.results[i].Err != nil {
@@ -424,8 +258,12 @@ func (e *Engine) finishJob(st *sweepState, i int, took time.Duration) {
 	}
 }
 
-// compileTasks compiles the job's benchmarks through the shared cache.
-func (e *Engine) compileTasks(j Job) ([]sim.Task, error) {
+// runJob compiles the job's benchmarks through the shared cache and
+// simulates them.
+func (e *Engine) runJob(j Job) (*sim.Result, error) {
+	if err := j.Validate(); err != nil {
+		return nil, err
+	}
 	tasks := make([]sim.Task, 0, len(j.Benchmarks))
 	for _, name := range j.Benchmarks {
 		p, err := e.cache.Get(name, j.Machine)
@@ -433,19 +271,6 @@ func (e *Engine) compileTasks(j Job) ([]sim.Task, error) {
 			return nil, fmt.Errorf("compile %s: %w", name, err)
 		}
 		tasks = append(tasks, sim.Task{Name: name, Prog: p})
-	}
-	return tasks, nil
-}
-
-// runJob compiles the job's benchmarks through the shared cache and
-// simulates them on the solo path.
-func (e *Engine) runJob(j Job) (*sim.Result, error) {
-	if err := j.Validate(); err != nil {
-		return nil, err
-	}
-	tasks, err := e.compileTasks(j)
-	if err != nil {
-		return nil, err
 	}
 	return sim.Run(j.config(), tasks)
 }

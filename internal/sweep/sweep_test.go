@@ -4,10 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"vliwmt/internal/isa"
+	"vliwmt/internal/sim"
+	"vliwmt/internal/wgen"
 )
 
 // testGrid is a small but non-trivial sweep: 4 schemes x 3 mixes with a
@@ -58,6 +64,69 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		if got != want {
 			t.Errorf("workers=%d produced different results:\n%s\nvs workers=1:\n%s", workers, got, want)
 		}
+	}
+}
+
+// rendezvousStore is a ResultStore that always misses. Its Get blocks
+// until n callers are inside it at once; a caller that waits longer
+// than timeout gives up and marks the rendezvous missed, after which
+// no caller waits.
+type rendezvousStore struct {
+	n       int
+	timeout time.Duration
+	mu      sync.Mutex
+	inside  int
+	met     chan struct{}
+	missed  atomic.Bool
+}
+
+func (s *rendezvousStore) Get(Job) (*sim.Result, time.Duration, bool) {
+	s.mu.Lock()
+	s.inside++
+	if s.inside == s.n {
+		close(s.met)
+	}
+	s.mu.Unlock()
+	if !s.missed.Load() {
+		select {
+		case <-s.met:
+		case <-time.After(s.timeout):
+			s.missed.Store(true)
+		}
+	}
+	s.mu.Lock()
+	s.inside--
+	s.mu.Unlock()
+	return nil, 0, false
+}
+
+func (s *rendezvousStore) Put(Job, *sim.Result, time.Duration) error { return nil }
+
+// TestSingleShapeUsesEveryWorker is the structural dispatch test: a
+// sweep of one shape (one mix under four schemes) with more jobs than
+// workers must keep min(workers, jobs) jobs in flight at once. The
+// store's Get only returns promptly once both workers are probing it
+// concurrently, which fails if jobs of one shape are serialised onto
+// one goroutine.
+func TestSingleShapeUsesEveryWorker(t *testing.T) {
+	const workers = 2
+	jobs, err := Grid{
+		Schemes:    []string{"2SC3", "3SSS", "C4", "3CCC"},
+		Mixes:      []string{"LLHH"},
+		InstrLimit: 2_000,
+		Seed:       3,
+	}.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &rendezvousStore{n: workers, timeout: 5 * time.Second, met: make(chan struct{})}
+	e := New(workers)
+	e.SetStore(store)
+	if _, err := e.Run(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	if store.missed.Load() {
+		t.Fatalf("%d jobs of one shape on %d workers never had %d store probes in flight at once", len(jobs), workers, workers)
 	}
 }
 
@@ -139,6 +208,38 @@ func TestCompileCacheMemoizes(t *testing.T) {
 	again, _ := e.Cache().Stats()
 	if again != compiles {
 		t.Errorf("second sweep recompiled: %d -> %d", compiles, again)
+	}
+}
+
+// TestCompileCacheBounded fills a cache past its bound with distinct
+// generated kernels: it must hold at most maxCompileEntries entries,
+// and the evicted oldest kernel must recompile to an identical program.
+func TestCompileCacheBounded(t *testing.T) {
+	m := isa.Default()
+	p := wgen.RandomProfile(wgen.NewRand(5), wgen.Low)
+	c := NewCompileCache()
+	first, err := c.Get(wgen.BenchmarkName(p, 0), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= maxCompileEntries; seed++ {
+		if _, err := c.Get(wgen.BenchmarkName(p, seed), m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(c.entries); n > maxCompileEntries {
+		t.Fatalf("cache holds %d entries after %d kernels, bound is %d", n, maxCompileEntries+1, maxCompileEntries)
+	}
+	compiles, _ := c.Stats()
+	again, err := c.Get(wgen.BenchmarkName(p, 0), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := c.Stats(); after != compiles+1 {
+		t.Errorf("evicted kernel served without recompiling (%d -> %d compiles)", compiles, after)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Error("recompiled kernel differs from the evicted one")
 	}
 }
 

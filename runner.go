@@ -62,7 +62,6 @@ type Runner struct {
 	progress func(done, total int, r SweepResult)
 	seed     uint64
 	store    *ResultStore
-	batch    int
 }
 
 // RunnerOption configures a Runner.
@@ -132,14 +131,13 @@ func WithStore(s *ResultStore) RunnerOption {
 	}
 }
 
-// WithBatch sets the sweep batching cap: how many shape-compatible
-// jobs (same machine, same benchmark list) the engine may advance
-// through one batched cycle loop. 0 (the default) groups automatically
-// up to the engine's cap; 1 disables batching and runs every job solo.
-// Batching is a throughput lever only — per-job results are
-// bit-identical at every setting.
+// WithBatch once capped how many jobs the engine advanced through one
+// batched cycle loop. It does nothing: every job runs as its own
+// dispatch unit.
+//
+// Deprecated: WithBatch is a no-op and will be removed.
 func WithBatch(n int) RunnerOption {
-	return func(r *Runner) { r.batch = n }
+	return func(*Runner) {}
 }
 
 // WithResultDir enables result persistence.
@@ -218,6 +216,5 @@ func (r *Runner) SweepJobs(ctx context.Context, jobs []SweepJob) ([]SweepResult,
 	if r.store != nil {
 		e.SetStore(r.store)
 	}
-	e.SetBatch(r.batch)
 	return e.Run(ctx, jobs)
 }

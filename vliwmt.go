@@ -297,10 +297,9 @@ type SweepOptions struct {
 	// previously completed jobs are served from disk (marked Cached)
 	// and fresh simulations are persisted. See WithResultStore.
 	ResultDir string
-	// Batch caps how many shape-compatible jobs are advanced through
-	// one batched cycle loop: 0 groups automatically, 1 disables
-	// batching. Results are bit-identical at every setting; see
-	// WithBatch.
+	// Batch is ignored: every job runs as its own dispatch unit.
+	//
+	// Deprecated: Batch has no effect and will be removed.
 	Batch int
 }
 
@@ -308,7 +307,7 @@ type SweepOptions struct {
 // from legacy SweepOptions.
 func (o SweepOptions) runner() *Runner {
 	return NewRunner(WithSharedCache(), WithWorkers(o.Workers), WithProgress(o.Progress),
-		WithResultStore(o.ResultDir), WithBatch(o.Batch))
+		WithResultStore(o.ResultDir))
 }
 
 // Sweep expands the grid into jobs and executes them on a bounded worker
