@@ -102,6 +102,19 @@ func TestBatchTimeout(t *testing.T) {
 	runShared(t, []sim.Config{stuck, ok, stuck}, tasks, true)
 }
 
+// TestBatchSizeOne: a batch of one job is the unit every sweep job now
+// runs as; its lone sim.Run over the shared task list must match the
+// refsim oracle exactly too.
+func TestBatchSizeOne(t *testing.T) {
+	m := isa.Default()
+	tasks := diffTasks(t, m)
+	cfg := sim.DefaultConfig()
+	cfg.Scheme = "2SC3"
+	cfg.InstrLimit = 1_200
+	cfg.TimesliceCycles = 500
+	runShared(t, []sim.Config{cfg}, tasks, true)
+}
+
 // TestBatchRandomConfigs fuzzes heterogeneous batches: random job
 // counts, schemes, contexts, budgets, seeds and cache geometries, all
 // sharing one task list, each batch run concurrently and checked
@@ -143,5 +156,38 @@ func TestBatchRandomConfigs(t *testing.T) {
 		t.Run(fmt.Sprintf("%02d_n%d", i, len(cfgs)), func(t *testing.T) {
 			runShared(t, cfgs, tasks, false)
 		})
+	}
+}
+
+// TestBatchSteadyStateZeroAllocs extends the zero-allocs/cycle
+// invariant to a batch of jobs sharing one task list: each sim.Run pays
+// a fixed setup cost, after which allocations must not grow with
+// simulated cycles, whatever the other jobs over the same programs did.
+func TestBatchSteadyStateZeroAllocs(t *testing.T) {
+	m := isa.Default()
+	tasks := diffTasks(t, m)[:4]
+	measure := func(instrs int64) float64 {
+		cfgs := make([]sim.Config, 6)
+		for i := range cfgs {
+			cfg := sim.DefaultConfig()
+			cfg.Scheme = []string{"2SC3", "3SSS", "C4"}[i%3]
+			cfg.InstrLimit = instrs
+			cfg.TimesliceCycles = 1_000
+			cfg.Seed = uint64(i + 1)
+			cfg.DCache = cache.Config{Size: 8 << 10, LineSize: 64, Ways: 2, MissPenalty: 20}
+			cfgs[i] = cfg
+		}
+		return testing.AllocsPerRun(5, func() {
+			for _, cfg := range cfgs {
+				if _, err := sim.Run(cfg, tasks); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	short := measure(2_000)
+	long := measure(12_000)
+	if long > short {
+		t.Errorf("allocations grow with cycles: %v at 2k instrs, %v at 12k", short, long)
 	}
 }
