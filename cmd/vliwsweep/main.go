@@ -136,7 +136,6 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 	)
-	flag.Int("batch", 0, "Deprecated: ignored; every job runs as its own dispatch unit")
 	flag.Parse()
 	switch *format {
 	case "text", "json", "csv":

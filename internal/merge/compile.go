@@ -27,6 +27,8 @@ const (
 	evalFold     evalKind = iota // left-deep, at least one SMT level
 	evalFoldCSMT                 // left-deep, every merge level CSMT
 	evalStack                    // general post-order stack program
+	evalIMT                      // IMT baseline: the highest-priority candidate
+	evalBMT                      // BMT baseline: the sticky running thread
 )
 
 // foldStep is one leaf visit of a linear fold: join the candidate at
@@ -50,13 +52,15 @@ type cinstr struct {
 	arg uint8 // opLeaf: port; opMerge*: input count
 }
 
-// Compiled is a Tree flattened for fast selection. It implements
-// Selector, and SelectPacked selects bit-identically to the Tree's
-// recursive reference walk (enforced by the differential tests). The
-// scratch stack makes an instance single-simulator state: build one per
+// Compiled is a scheme's production selector: a Tree flattened for fast
+// selection, or one of the IMT/BMT baselines. It implements Selector,
+// and SelectPacked selects bit-identically to the reference selector
+// (enforced by the differential tests). The scratch stack and BMT's
+// sticky port make an instance single-simulator state: build one per
 // run via Scheme.Selector.
 type Compiled struct {
-	tree   *Tree
+	ref    Selector // reference selector: the *Tree, *IMT or *BMT
+	bmt    *BMT     // evalBMT: ref itself, holding the sticky port
 	kind   evalKind
 	steps  []foldStep // fold evaluators
 	prog   []cinstr   // evalStack program
@@ -66,7 +70,7 @@ type Compiled struct {
 // Compile flattens t into its fastest evaluator form. The result selects
 // exactly like t.Select.
 func Compile(t *Tree) *Compiled {
-	c := &Compiled{tree: t}
+	c := &Compiled{ref: t}
 	if steps, ok := flattenFold(t.root, nil); ok {
 		c.steps = steps
 		c.kind = evalFoldCSMT
@@ -145,17 +149,15 @@ func compileStack(root *Node) ([]cinstr, int) {
 }
 
 // Name implements Selector.
-func (c *Compiled) Name() string { return c.tree.Name() }
+func (c *Compiled) Name() string { return c.ref.Name() }
 
 // Ports implements Selector.
-func (c *Compiled) Ports() int { return c.tree.Ports() }
+func (c *Compiled) Ports() int { return c.ref.Ports() }
 
-// Tree returns the scheme tree the evaluator was compiled from.
-func (c *Compiled) Tree() *Tree { return c.tree }
-
-// Select implements Selector by forwarding to the tree's recursive
-// walk. The simulator selects through SelectPacked; Select serves the
-// Selector interface and callers holding occupancy values.
+// Select implements Selector by forwarding to the reference selector
+// (sharing BMT's sticky port with SelectPacked). The simulator selects
+// through SelectPacked; Select serves the Selector interface and
+// callers holding occupancy values.
 func (c *Compiled) Select(m *isa.Machine, cands []isa.Occupancy, valid uint32) Selection {
-	return c.tree.Select(m, cands, valid)
+	return c.ref.Select(m, cands, valid)
 }

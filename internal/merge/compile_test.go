@@ -35,7 +35,7 @@ func TestCompileShapeDetection(t *testing.T) {
 		if c.kind != tc.want {
 			t.Errorf("%s: compiled to evaluator %d, want %d", tc.scheme, c.kind, tc.want)
 		}
-		if c.Name() != tree.Name() || c.Ports() != tree.Ports() || c.Tree() != tree {
+		if c.Name() != tree.Name() || c.Ports() != tree.Ports() || c.ref != tree {
 			t.Errorf("%s: compiled metadata does not match tree", tc.scheme)
 		}
 	}
@@ -129,7 +129,7 @@ func TestCompiledMatchesReferenceRandomTrees(t *testing.T) {
 		c := Compile(tree)
 		for i := 0; i < 50; i++ {
 			vals, valid := pack(randomCands(r, &m, n))
-			checkPacked(t, c, &m, vals, valid)
+			checkPacked(t, c, tree, &m, vals, valid)
 		}
 	}
 }
@@ -168,7 +168,7 @@ func FuzzCompiledSelect(f *testing.F) {
 		c := Compile(tree)
 		for i := 0; i < 20; i++ {
 			vals, valid := pack(randomCands(r, &m, tree.Ports()))
-			checkPacked(t, c, &m, vals, valid)
+			checkPacked(t, c, tree, &m, vals, valid)
 		}
 	})
 }

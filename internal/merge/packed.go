@@ -1,6 +1,10 @@
 package merge
 
-import "vliwmt/internal/isa"
+import (
+	"math/bits"
+
+	"vliwmt/internal/isa"
+)
 
 // Packed selection: the simulator's occupancy-free merge stage.
 //
@@ -127,15 +131,35 @@ type pentry struct {
 // PackLimits of the same machine Select would receive, and every
 // dictionary entry must have come from PackOcc of the corresponding
 // candidate; under those premises the differential suites hold this
-// bit-identical to Select.
+// bit-identical to Select. Like every Selector it is pure on empty
+// input.
 //
 //vliw:hotpath
 func (c *Compiled) SelectPacked(d []PackedOcc, lim *PackedLimits, ids []int32, valid uint32) (uint32, uint8) {
+	if valid&(valid-1) == 0 {
+		// A lone candidate issues whole under every scheme: each tree
+		// node passes a single non-empty input through unmerged, and
+		// both baselines pick it (BMT making it the running thread).
+		if valid == 0 {
+			return 0, 0
+		}
+		p := bits.TrailingZeros32(valid)
+		if c.kind == evalBMT {
+			c.bmt.current = p
+		}
+		return valid, d[ids[p]].Ops
+	}
 	switch c.kind {
 	case evalFoldCSMT:
 		return c.packedFoldCSMT(d, ids, valid)
 	case evalFold:
 		return c.packedFold(d, lim, ids, valid)
+	case evalIMT:
+		p := bits.TrailingZeros32(valid)
+		return 1 << p, d[ids[p]].Ops
+	case evalBMT:
+		p := c.bmt.pick(valid)
+		return 1 << p, d[ids[p]].Ops
 	}
 	return c.packedStack(d, lim, ids, valid)
 }

@@ -26,21 +26,21 @@ func packDict(t testing.TB, vals []isa.Occupancy) ([]PackedOcc, []int32) {
 	return d, ids
 }
 
-// checkPacked fails unless SelectPacked agrees with the tree's
-// recursive reference walk on the selected mask and the merged packet's
-// operation count — the two facts the simulator consumes.
-func checkPacked(t testing.TB, c *Compiled, m *isa.Machine, vals []isa.Occupancy, valid uint32) {
+// checkPacked fails unless SelectPacked agrees with the reference
+// selector ref on the selected mask and the merged packet's operation
+// count — the two facts the simulator consumes.
+func checkPacked(t testing.TB, c *Compiled, ref Selector, m *isa.Machine, vals []isa.Occupancy, valid uint32) {
 	t.Helper()
 	lim, ok := PackLimits(m)
 	if !ok {
 		t.Fatalf("machine unpackable: %+v", m)
 	}
 	d, ids := packDict(t, vals)
-	ref := c.Tree().Select(m, vals, valid)
+	want := ref.Select(m, vals, valid)
 	mask, ops := c.SelectPacked(d, &lim, ids, valid)
-	if mask != ref.Mask || ops != ref.Occ.Ops {
+	if mask != want.Mask || ops != want.Occ.Ops {
 		t.Fatalf("%s on %+v: packed (mask %04b, ops %d) != reference (mask %04b, ops %d), valid %04b",
-			c.Name(), *m, mask, ops, ref.Mask, ref.Occ.Ops, valid)
+			c.Name(), *m, mask, ops, want.Mask, want.Occ.Ops, valid)
 	}
 }
 
@@ -67,12 +67,13 @@ func TestSelectPackedMatchesSelect(t *testing.T) {
 		if name == "1S" {
 			ports = 2
 		}
-		c := Compile(mustParse(t, name, ports))
+		tree := mustParse(t, name, ports)
+		c := Compile(tree)
 		for _, m := range machines {
 			mm := m
 			for i := 0; i < 60; i++ {
 				vals, valid := pack(randomCands(r, &mm, ports))
-				checkPacked(t, c, &mm, vals, valid)
+				checkPacked(t, c, tree, &mm, vals, valid)
 			}
 		}
 	}
@@ -80,19 +81,71 @@ func TestSelectPackedMatchesSelect(t *testing.T) {
 	// Random trees exercise the stack evaluator's nested merges.
 	for trial := 0; trial < 120; trial++ {
 		n := 2 + r.Intn(7)
-		c := Compile(randomTree(r, n))
+		tree := randomTree(r, n)
+		c := Compile(tree)
 		for _, m := range machines {
 			mm := m
 			for i := 0; i < 15; i++ {
 				vals, valid := pack(randomCands(r, &mm, n))
-				checkPacked(t, c, &mm, vals, valid)
+				checkPacked(t, c, tree, &mm, vals, valid)
+			}
+		}
+	}
+
+	// The baselines run a candidate sequence each, compared cycle by
+	// cycle with a separate reference instance fed the same sequence,
+	// so BMT's sticky port is checked too. Empty and lone-candidate
+	// cycles (SelectPacked's shortcut) are mixed in.
+	m := isa.Default()
+	for _, name := range []string{"IMT", "BMT"} {
+		s, err := Resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ports := 2; ports <= 8; ports++ {
+			c, err := s.Selector(ports)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := s.ReferenceSelector(ports)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var empty, lone int
+			for i := 0; i < 200; i++ {
+				cands := randomCands(r, &m, ports)
+				switch r.Intn(6) {
+				case 0:
+					clear(cands)
+				case 1:
+					p := r.Intn(ports)
+					if cands[p] == nil {
+						cands[p] = occOn(r.Intn(m.Clusters))
+					}
+					for q := range cands {
+						if q != p {
+							cands[q] = nil
+						}
+					}
+				}
+				vals, valid := pack(cands)
+				switch {
+				case valid == 0:
+					empty++
+				case valid&(valid-1) == 0:
+					lone++
+				}
+				checkPacked(t, c, ref, &m, vals, valid)
+			}
+			if empty == 0 || lone == 0 {
+				t.Fatalf("%s/%d ports: sequence has %d empty and %d lone-candidate cycles, want both", name, ports, empty, lone)
 			}
 		}
 	}
 }
 
 // TestPackOccRoundTrip pins the packed encoding: per-cluster counts land
-// in the right bytes, the cluster mask matches UsedClusters, and
+// in the right bytes, the cluster mask matches ClusterMask, and
 // over-limit counts are rejected.
 func TestPackOccRoundTrip(t *testing.T) {
 	var o isa.Occupancy
@@ -112,8 +165,8 @@ func TestPackOccRoundTrip(t *testing.T) {
 	if got := uint8(p.B >> 24); got != 1 {
 		t.Errorf("cluster 3 branch byte = %d, want 1", got)
 	}
-	if p.CM != isa.UsedClusters(&o) {
-		t.Errorf("CM = %08b, want UsedClusters %08b", p.CM, isa.UsedClusters(&o))
+	if p.CM != o.ClusterMask() {
+		t.Errorf("CM = %08b, want ClusterMask %08b", p.CM, o.ClusterMask())
 	}
 	if p.Ops != 8 {
 		t.Errorf("Ops = %d, want 8", p.Ops)
@@ -156,8 +209,15 @@ func TestSelectPackedZeroAllocs(t *testing.T) {
 		t.Fatal("default machine must be packable")
 	}
 	r := rand.New(rand.NewSource(13))
-	for _, name := range []string{"3SSS", "3CCC", "2SC3", "2SS", "C4"} {
-		c := Compile(mustParse(t, name, 4))
+	for _, name := range []string{"3SSS", "3CCC", "2SC3", "2SS", "C4", "BMT"} {
+		s, err := Resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := s.Selector(4)
+		if err != nil {
+			t.Fatal(err)
+		}
 		vals, valid := pack(randomCands(r, &m, 4))
 		d, ids := packDict(t, vals)
 		allocs := testing.AllocsPerRun(200, func() {

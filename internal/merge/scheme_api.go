@@ -76,24 +76,26 @@ func (s Scheme) WithName(name string) Scheme {
 	return Scheme{name: name, tree: &Tree{name: name, root: s.tree.root, ports: s.tree.ports}}
 }
 
-// Selector builds a Selector for ports hardware thread ports.
-// Tree-backed schemes require ports to match the tree (0 accepts the
-// tree's own count); the baselines adapt to any positive width. Every
-// call returns a fresh instance, safe to hand to one simulator: the
-// baselines because BMT keeps cross-cycle state, tree-backed schemes
-// because the compiled evaluator (Compile) owns a per-instance scratch
-// buffer. The compiled evaluator selects bit-identically to the tree's
-// recursive reference walk; ReferenceSelector exposes the latter for
-// differential testing.
-func (s Scheme) Selector(ports int) (Selector, error) {
-	sel, err := s.ReferenceSelector(ports)
+// Selector builds the scheme's production selector for ports hardware
+// thread ports. Tree-backed schemes require ports to match the tree (0
+// accepts the tree's own count); the baselines adapt to any positive
+// width. Every call returns a fresh instance, safe to hand to one
+// simulator: BMT keeps cross-cycle state, and the compiled tree
+// evaluator (Compile) owns a per-instance scratch buffer. It selects
+// bit-identically to ReferenceSelector, which the differential tests
+// hold it against.
+func (s Scheme) Selector(ports int) (*Compiled, error) {
+	ref, err := s.ReferenceSelector(ports)
 	if err != nil {
 		return nil, err
 	}
-	if t, ok := sel.(*Tree); ok {
-		return Compile(t), nil
+	switch r := ref.(type) {
+	case *IMT:
+		return &Compiled{ref: r, kind: evalIMT}, nil
+	case *BMT:
+		return &Compiled{ref: r, bmt: r, kind: evalBMT}, nil
 	}
-	return sel, nil
+	return Compile(ref.(*Tree)), nil
 }
 
 // ReferenceSelector builds the naive reference Selector for the scheme:
@@ -218,7 +220,7 @@ func nodeDepth(n *Node) int {
 }
 
 // The process-wide scheme registry. Registered names resolve anywhere
-// a scheme-name string is accepted: Resolve, NewSelector, Ports,
+// a scheme-name string is accepted: Resolve, Ports,
 // sweep.Job.Validate, sim.Config and the CLIs.
 var (
 	regMu    sync.RWMutex

@@ -124,27 +124,26 @@ func (s *BMT) Ports() int { return s.NumPorts }
 
 // Select implements Selector.
 func (s *BMT) Select(m *isa.Machine, cands []isa.Occupancy, valid uint32) Selection {
-	if s.current < len(cands) && valid&(1<<uint(s.current)) != 0 {
-		return Selection{Mask: 1 << uint(s.current), Occ: cands[s.current]}
+	if valid == 0 {
+		return Selection{}
 	}
-	for i := 1; i <= len(cands); i++ {
-		p := (s.current + i) % len(cands)
-		if valid&(1<<uint(p)) != 0 {
-			s.current = p
-			return Selection{Mask: 1 << uint(p), Occ: cands[p]}
-		}
-	}
-	return Selection{}
+	p := s.pick(valid)
+	return Selection{Mask: 1 << uint(p), Occ: cands[p]}
 }
 
-// NewSelector builds a Selector by name — anything Resolve accepts: a
-// paper scheme name, a registered custom scheme, a canonical tree
-// expression, or the baselines "IMT" and "BMT". ports is the number of
-// hardware thread ports; tree-backed schemes must match it exactly.
-func NewSelector(name string, ports int) (Selector, error) {
-	s, err := Resolve(name)
-	if err != nil {
-		return nil, err
+// pick returns the port that issues from the nonempty candidate mask
+// valid and makes it current: the current port while it stays
+// runnable, otherwise the first runnable port after it in round-robin
+// order.
+//
+//vliw:hotpath
+func (s *BMT) pick(valid uint32) int {
+	if valid&(1<<uint(s.current)) == 0 {
+		if above := valid &^ (2<<uint(s.current) - 1); above != 0 {
+			s.current = bits.TrailingZeros32(above)
+		} else {
+			s.current = bits.TrailingZeros32(valid)
+		}
 	}
-	return s.Selector(ports)
+	return s.current
 }

@@ -38,6 +38,17 @@ func mustParse(t *testing.T, name string, ports int) *Tree {
 	return tree
 }
 
+// schemePorts returns how many thread ports the named scheme merges,
+// failing the test when the name does not resolve.
+func schemePorts(t testing.TB, name string) int {
+	t.Helper()
+	n, err := Ports(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // pack converts the pointer-slice candidate convention the tests build
 // into the value-slice + valid-bitmask form of the Selector interface.
 func pack(cands []*isa.Occupancy) ([]isa.Occupancy, uint32) {
@@ -59,7 +70,7 @@ func pack(cands []*isa.Occupancy) ([]isa.Occupancy, uint32) {
 func treeSelect(t testing.TB, tree *Tree, m *isa.Machine, cands []*isa.Occupancy) Selection {
 	t.Helper()
 	vals, valid := pack(cands)
-	checkPacked(t, Compile(tree), m, vals, valid)
+	checkPacked(t, Compile(tree), tree, m, vals, valid)
 	return tree.Select(m, vals, valid)
 }
 
@@ -156,7 +167,7 @@ func Test2SCRestriction(t *testing.T) {
 func TestEmptyAndSingleCandidate(t *testing.T) {
 	m := isa.Default()
 	for _, name := range PaperSchemes4() {
-		tree := mustParse(t, name, PortsFor(name))
+		tree := mustParse(t, name, schemePorts(t, name))
 		cands := make([]*isa.Occupancy, tree.Ports())
 		if s := treeSelect(t, tree, &m, cands); !s.Empty() {
 			t.Errorf("%s: selection from no candidates = %v", name, s)
@@ -178,7 +189,7 @@ func TestHighestPriorityAlwaysIssues(t *testing.T) {
 	m := isa.Default()
 	r := rand.New(rand.NewSource(7))
 	for _, name := range PaperSchemes4() {
-		tree := mustParse(t, name, PortsFor(name))
+		tree := mustParse(t, name, schemePorts(t, name))
 		for trial := 0; trial < 200; trial++ {
 			cands := randomCands(r, &m, tree.Ports())
 			first := -1
@@ -261,7 +272,7 @@ func TestSelectionInvariants(t *testing.T) {
 	m := isa.Default()
 	r := rand.New(rand.NewSource(99))
 	for _, name := range PaperSchemes4() {
-		tree := mustParse(t, name, PortsFor(name))
+		tree := mustParse(t, name, schemePorts(t, name))
 		for trial := 0; trial < 500; trial++ {
 			cands := randomCands(r, &m, tree.Ports())
 			s := treeSelect(t, tree, &m, cands)
@@ -349,18 +360,20 @@ func TestBMTSticksUntilBlocked(t *testing.T) {
 	}
 }
 
-func TestNewSelector(t *testing.T) {
+func TestSchemeSelectorByName(t *testing.T) {
 	for _, name := range []string{"IMT", "BMT", "3SSS", "C4"} {
-		sel, err := NewSelector(name, 4)
+		s, err := Resolve(name)
 		if err != nil {
-			t.Errorf("NewSelector(%q): %v", name, err)
+			t.Errorf("Resolve(%q): %v", name, err)
+			continue
+		}
+		sel, err := s.Selector(4)
+		if err != nil {
+			t.Errorf("%s.Selector(4): %v", name, err)
 			continue
 		}
 		if sel.Name() != name {
 			t.Errorf("selector name = %q, want %q", sel.Name(), name)
 		}
-	}
-	if _, err := NewSelector("bogus", 4); err == nil {
-		t.Error("NewSelector accepted bogus name")
 	}
 }

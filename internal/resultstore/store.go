@@ -162,31 +162,49 @@ func (s *Store) Put(j sweep.Job, res *sim.Result, elapsed time.Duration) error {
 	if err != nil {
 		return fmt.Errorf("resultstore: encode %s: %w", key, err)
 	}
-	path := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("resultstore: %w", err)
+	b = append(b, '\n')
+	if err = s.write(key, b); err != nil {
+		// A concurrent Clear can move the shard tree away at any step
+		// of the write: the create or rename then fails with ENOENT,
+		// or MkdirAll with EEXIST when the tree moves between its
+		// mkdir and its check. The retry recreates the shard
+		// directory; a persistent failure fails again.
+		err = s.write(key, b)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+key+".tmp")
 	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	s.puts.Add(1)
 	metPuts.Inc()
-	metBytesWritten.Add(int64(len(b) + 1))
-	metEntryBytes.Observe(float64(len(b) + 1))
+	metBytesWritten.Add(int64(len(b)))
+	metEntryBytes.Observe(float64(len(b)))
+	return nil
+}
+
+// write stores data as key's entry file: a temp file in the shard
+// directory (created if missing), renamed over the entry.
+func (s *Store) write(key string, data []byte) error {
+	path := s.path(key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+key+".tmp")
+	if err != nil {
+		return err
+	}
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
 	return nil
 }
 
@@ -217,17 +235,42 @@ func (s *Store) Len() (int, error) {
 	return n, nil
 }
 
-// Clear removes every stored entry. The shard tree is deleted
-// wholesale; the root directory itself is kept so handles stay valid.
+// Clear removes every stored entry. The shard tree is first renamed
+// into a fresh ".clear-*" tombstone directory, then deleted wholesale.
+// A Put that starts after the rename cannot reach the tombstone (it
+// sees its shard directory vanish and retries under a new one); only a
+// file operation already resolving its path when the rename happened
+// can still land an entry there, so the removal is retried until those
+// have drained. The root directory itself is kept so handles stay
+// valid.
 func (s *Store) Clear() error {
 	if s == nil || s.dir == "" {
 		return nil
 	}
-	if err := os.RemoveAll(filepath.Join(s.dir, "jobs")); err != nil {
+	tomb, err := os.MkdirTemp(s.dir, ".clear-")
+	if os.IsNotExist(err) {
+		return nil // never written: nothing to clear
+	}
+	if err != nil {
 		return fmt.Errorf("resultstore: clear: %w", err)
 	}
-	return nil
+	err = os.Rename(filepath.Join(s.dir, "jobs"), filepath.Join(tomb, "jobs"))
+	if err != nil && !os.IsNotExist(err) {
+		os.Remove(tomb)
+		return fmt.Errorf("resultstore: clear: %w", err)
+	}
+	for i := 0; i < clearAttempts; i++ {
+		if err = os.RemoveAll(tomb); err == nil {
+			return nil
+		}
+	}
+	return fmt.Errorf("resultstore: clear: %w", err)
 }
+
+// clearAttempts bounds Clear's removal of its tombstone. A failed
+// attempt means an in-flight write landed there meanwhile; the rename
+// stops new ones, so a few attempts drain them.
+const clearAttempts = 8
 
 // entryFileName reports whether a walked directory entry looks like a
 // stored result (and not a shard directory or an in-flight temp file).

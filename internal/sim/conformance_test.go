@@ -86,7 +86,7 @@ func TestGenerativeConformance(t *testing.T) {
 			for _, perfect := range []bool{true, false} {
 				cfg := sim.DefaultConfig()
 				cfg.Scheme = scheme
-				cfg.Contexts = merge.PortsFor(scheme)
+				cfg.Contexts = schemePorts(t, scheme)
 				cfg.PerfectMemory = perfect
 				cfg.InstrLimit = 800
 				cfg.TimesliceCycles = 400
@@ -148,7 +148,7 @@ func TestGenerativeConformanceSingleKernels(t *testing.T) {
 		}
 		cfg := sim.DefaultConfig()
 		cfg.Scheme = []string{"2SC3", "C4", "3SSS", "IMT"}[iter%4]
-		cfg.Contexts = merge.PortsFor(cfg.Scheme)
+		cfg.Contexts = schemePorts(t, cfg.Scheme)
 		cfg.PerfectMemory = iter%2 == 0
 		cfg.InstrLimit = 700
 		cfg.TimesliceCycles = 300

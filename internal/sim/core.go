@@ -10,11 +10,6 @@ import (
 	"vliwmt/internal/program"
 )
 
-// selEmptyOps flags a packed selection whose merged word retires zero
-// operations; the low bits are the selected-port mask (selector widths
-// are far below 31 ports, so the flag bit can never collide).
-const selEmptyOps = uint32(1) << 31
-
 // cpu is one run's simulator state: every slice and scalar the cycle
 // loop touches is allocated once in newCPU, so the loop itself never
 // allocates (see DESIGN.md; TestSteadyStateZeroAllocs enforces it).
@@ -29,19 +24,19 @@ const selEmptyOps = uint32(1) << 31
 // fetched, done, per-thread stats) lives in flat struct-of-arrays
 // slices indexed by task, so the cycle loop walks contiguous memory.
 //
-// Selection: a compiled tree scheme selects on the packed occupancy
+// Selection: every multi-context run selects on the packed occupancy
 // dictionary (merge.SelectPacked) from the gathered dictionary IDs
-// alone, answering cluster disjointness and SMT slot capacity with a
-// few 64-bit SWAR operations. The stateful baselines (IMT, BMT) select
-// on occupancy values through the plain merge.Selector interface.
+// alone — the tree schemes answering cluster disjointness and SMT slot
+// capacity with a few 64-bit SWAR operations, the IMT/BMT baselines
+// picking one port from the candidate mask. A one-context run has no
+// merge stage: stepSingle issues the lone thread directly, with no
+// selector and no dictionary. It stays a separate loop because routing
+// single-thread runs (Table 1) through step measured markedly slower
+// (DESIGN.md).
 type cpu struct {
-	cfg Config
-	m   isa.Machine
-	sel merge.Selector
-	// comp is sel when it is the stateless compiled evaluator; nil for
-	// the stateful baselines (BMT keeps cross-cycle state and must see
-	// every Select call).
-	comp   *merge.Compiled
+	cfg    Config
+	m      isa.Machine
+	sel    *merge.Compiled // nil for one context
 	ic, dc *cache.Cache
 
 	// plans[ti] is task ti's baked plan; plis[ti] is its Instrs, kept
@@ -76,16 +71,13 @@ type cpu struct {
 	fixedPrio bool
 
 	// Per-cycle buffers, reused across every cycle of the run: candID[p]
-	// is the dictionary ID of the candidate at merge port p, cands[p]
-	// its occupancy value (allocated only for the plain selectors), and
-	// ports[p] the context mapped to port p under the cycle's priority
-	// rotation.
-	cands  []isa.Occupancy
+	// is the dictionary ID of the candidate at merge port p and ports[p]
+	// the context mapped to port p under the cycle's priority rotation.
 	candID []int32
 	ports  []int
 
 	// pd is the run-wide packed occupancy dictionary and plim the
-	// machine's SWAR limit constants; both are set only when comp is.
+	// machine's SWAR limit constants; both are set only when sel is.
 	pd   []merge.PackedOcc
 	plim merge.PackedLimits
 
@@ -98,10 +90,10 @@ type cpu struct {
 }
 
 // newSelector resolves the run's merge control. One context needs no
-// merge stage: the trivial one-port IMT issues the lone thread alone.
-func newSelector(cfg *Config) (merge.Selector, error) {
+// merge stage and gets none (nil).
+func newSelector(cfg *Config) (*merge.Compiled, error) {
 	if cfg.Contexts == 1 {
-		return &merge.IMT{NumPorts: 1}, nil
+		return nil, nil
 	}
 	sch := cfg.Merge
 	if sch.IsZero() {
@@ -113,9 +105,6 @@ func newSelector(cfg *Config) (merge.Selector, error) {
 	sel, err := sch.Selector(cfg.Contexts)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if sel.Ports() != cfg.Contexts {
-		return nil, fmt.Errorf("sim: scheme %s has %d ports, machine has %d contexts", sch.Name(), sel.Ports(), cfg.Contexts)
 	}
 	return sel, nil
 }
@@ -215,7 +204,7 @@ func newCPU(cfg Config, tasks []Task) (*cpu, error) {
 		c.stats[i].Name = t.Name
 		c.pool = append(c.pool, i)
 	}
-	if comp, ok := sel.(*merge.Compiled); ok {
+	if sel != nil {
 		// Validated programs on validated machines always pack: counts
 		// and limits are bounded by isa.MaxIssueWidth, far below the
 		// SWAR byte headroom. A failure here is a broken invariant.
@@ -223,7 +212,7 @@ func newCPU(cfg Config, tasks []Task) (*cpu, error) {
 		if !ok {
 			return nil, fmt.Errorf("sim: internal error: machine %+v does not pack", m)
 		}
-		c.comp, c.plim = comp, lim
+		c.plim = lim
 		c.pd = make([]merge.PackedOcc, occs)
 		for i := range c.plis {
 			for j := range c.plis[i] {
@@ -233,8 +222,6 @@ func newCPU(cfg Config, tasks []Task) (*cpu, error) {
 				}
 			}
 		}
-	} else {
-		c.cands = make([]isa.Occupancy, cfg.Contexts)
 	}
 	for i := range c.running {
 		c.running[i] = -1
@@ -392,9 +379,6 @@ func (c *cpu) step(cycle int64) int64 {
 				continue
 			}
 		}
-		if c.cands != nil {
-			c.cands[p] = pi.Occ
-		}
 		c.candID[p] = pi.OccID
 		valid |= 1 << uint(p)
 	}
@@ -403,10 +387,9 @@ func (c *cpu) step(cycle int64) int64 {
 		return c.fastForward(cycle)
 	}
 
-	selv := c.selectCands(valid)
-	mask := selv &^ selEmptyOps
+	mask, ops := c.sel.SelectPacked(c.pd, &c.plim, c.candID, valid)
 	c.res.MergeHist[bits.OnesCount32(mask)]++
-	if selv&selEmptyOps != 0 {
+	if ops == 0 {
 		c.res.EmptyCycles++
 	}
 
@@ -465,33 +448,6 @@ func (c *cpu) stepSingle(cycle int64) int64 {
 		c.finished = true
 	}
 	return cycle + 1
-}
-
-// selectCands runs the merge stage for the gathered candidates and
-// returns the selected-port mask in the low bits plus the selEmptyOps
-// flag — the only two facts the cycle loop consumes from a selection.
-// For the compiled evaluator a lone candidate is always selected whole
-// (every tree node passes a single non-empty input through unmerged),
-// so the evaluator walk is skipped; multi-candidate cycles run
-// SelectPacked on the dictionary. The plain selectors see every call.
-//
-//vliw:hotpath
-func (c *cpu) selectCands(valid uint32) uint32 {
-	var mask uint32
-	var ops uint8
-	switch {
-	case c.comp == nil:
-		s := c.sel.Select(&c.m, c.cands, valid)
-		mask, ops = s.Mask, s.Occ.Ops
-	case valid&(valid-1) == 0:
-		mask, ops = valid, c.pd[c.candID[bits.TrailingZeros32(valid)]].Ops
-	default:
-		mask, ops = c.comp.SelectPacked(c.pd, &c.plim, c.candID, valid)
-	}
-	if ops == 0 {
-		mask |= selEmptyOps
-	}
-	return mask
 }
 
 // retireOne retires task ti's current instruction at cycle, driven by

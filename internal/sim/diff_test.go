@@ -21,6 +21,17 @@ import (
 	"vliwmt/internal/workload"
 )
 
+// schemePorts returns how many contexts the named scheme merges,
+// failing the test when the name does not resolve.
+func schemePorts(t testing.TB, name string) int {
+	t.Helper()
+	n, err := merge.Ports(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // diffTasks compiles a pool of paper benchmarks once for the default
 // machine: a spread of ILP classes and memory behaviours.
 func diffTasks(t testing.TB, m isa.Machine) []sim.Task {
@@ -68,7 +79,7 @@ func TestDifferentialPaperMatrix(t *testing.T) {
 	tasks := diffTasks(t, m)
 	schemes := append(merge.PaperSchemes4(), "IMT", "BMT", "C(S(T0,T1),T2,T3)")
 	for _, scheme := range schemes {
-		contexts := merge.PortsFor(scheme)
+		contexts := schemePorts(t, scheme)
 		for _, perfect := range []bool{true, false} {
 			for seed := uint64(1); seed <= 3; seed++ {
 				name := fmt.Sprintf("%s/perfect=%v/seed=%d", scheme, perfect, seed)
@@ -136,7 +147,7 @@ func TestDifferentialRandomConfigs(t *testing.T) {
 	}
 	for i := 0; i < iters; i++ {
 		scheme := schemes[r.Intn(len(schemes))]
-		contexts := merge.PortsFor(scheme)
+		contexts := schemePorts(t, scheme)
 		if scheme == "IMT" || scheme == "BMT" {
 			contexts = []int{2, 4}[r.Intn(2)]
 		}

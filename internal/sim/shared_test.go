@@ -70,7 +70,7 @@ func TestBatchDifferentialPaperMatrix(t *testing.T) {
 				for _, scheme := range schemes {
 					cfg := sim.DefaultConfig()
 					cfg.Scheme = scheme
-					cfg.Contexts = merge.PortsFor(scheme)
+					cfg.Contexts = schemePorts(t, scheme)
 					cfg.PerfectMemory = perfect
 					cfg.InstrLimit = 1_500
 					cfg.TimesliceCycles = 700
@@ -133,7 +133,7 @@ func TestBatchRandomConfigs(t *testing.T) {
 		cfgs := make([]sim.Config, 0, n)
 		for j := 0; j < n; j++ {
 			scheme := schemes[r.Intn(len(schemes))]
-			contexts := merge.PortsFor(scheme)
+			contexts := schemePorts(t, scheme)
 			if scheme == "IMT" || scheme == "BMT" {
 				contexts = []int{2, 4}[r.Intn(2)]
 			}

@@ -131,22 +131,6 @@ func WithStore(s *ResultStore) RunnerOption {
 	}
 }
 
-// WithBatch once capped how many jobs the engine advanced through one
-// batched cycle loop. It does nothing: every job runs as its own
-// dispatch unit.
-//
-// Deprecated: WithBatch is a no-op and will be removed.
-func WithBatch(n int) RunnerOption {
-	return func(*Runner) {}
-}
-
-// WithResultDir enables result persistence.
-//
-// Deprecated: WithResultDir is the original spelling of
-// WithResultStore and behaves identically; new code should use
-// WithResultStore.
-func WithResultDir(dir string) RunnerOption { return WithResultStore(dir) }
-
 // NewRunner returns a session configured by opts.
 func NewRunner(opts ...RunnerOption) *Runner {
 	r := &Runner{cache: sweep.NewCompileCache()}

@@ -8,6 +8,17 @@ import (
 	"vliwmt"
 )
 
+// schemePorts returns how many hardware threads the named scheme
+// merges, failing the test when the name does not resolve.
+func schemePorts(t testing.TB, name string) int {
+	t.Helper()
+	s, err := vliwmt.ParseScheme(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Ports()
+}
+
 func fastConfig(contexts int, scheme string) vliwmt.Config {
 	cfg := vliwmt.DefaultConfig()
 	cfg.Contexts = contexts
@@ -49,9 +60,8 @@ func TestSchemesMetadata(t *testing.T) {
 		if !strings.Contains(desc, "T0") {
 			t.Errorf("DescribeScheme(%s) = %q", s, desc)
 		}
-		n := vliwmt.SchemeThreads(s)
-		if n != 2 && n != 4 {
-			t.Errorf("SchemeThreads(%s) = %d", s, n)
+		if n := schemePorts(t, s); n != 2 && n != 4 {
+			t.Errorf("%s merges %d threads", s, n)
 		}
 	}
 	if desc, _ := vliwmt.DescribeScheme("2SC3"); desc != "C3(S(T0,T1),T2,T3)" {
