@@ -535,17 +535,40 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
+// cacheBenchAddrs is the address stream of the cache benchmarks:
+// random addresses over 4MB, 64x the default cache, so the stream mixes
+// hits, misses and dirty evictions.
+func cacheBenchAddrs() []uint64 {
+	r := rand.New(rand.NewSource(2))
+	addrs := make([]uint64, 4096)
+	for i := range addrs {
+		addrs[i] = uint64(r.Intn(1 << 22))
+	}
+	return addrs
+}
+
 // BenchmarkCacheAccess measures the set-associative cache model.
 func BenchmarkCacheAccess(b *testing.B) {
 	c, err := cache.New(cache.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := rand.New(rand.NewSource(2))
-	addrs := make([]uint64, 4096)
-	for i := range addrs {
-		addrs[i] = uint64(r.Intn(1 << 22))
+	addrs := cacheBenchAddrs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Access(addrs[i%len(addrs)], i%7 == 0)
 	}
+}
+
+// BenchmarkCacheAccessRef is BenchmarkCacheAccess on refsim's
+// struct-per-line reference cache: the same-run baseline for the
+// production cache's flat layout.
+func BenchmarkCacheAccessRef(b *testing.B) {
+	c, err := refsim.NewCache(cache.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	addrs := cacheBenchAddrs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(addrs[i%len(addrs)], i%7 == 0)

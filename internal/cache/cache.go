@@ -58,18 +58,20 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-type line struct {
-	tag   uint64
-	used  uint64 // LRU timestamp
-	valid bool
-	dirty bool
-}
-
 // Cache is a single write-back, write-allocate, LRU set-associative cache.
 // It is a timing model only: no data is stored.
+//
+// The ways live in flat arrays indexed by slot = set*Ways + way, so a
+// set's tags are contiguous. keys[slot] holds the resident line address
+// plus one, zero marking an invalid way, so a lookup is one compare per
+// way. internal/refsim keeps the original struct-per-line model as the
+// oracle this one must match access for access.
 type Cache struct {
 	cfg       Config
-	sets      [][]line
+	keys      []uint64 // line address + 1; 0 = invalid
+	used      []uint64 // LRU timestamps
+	dirty     []bool
+	ways      int
 	setMask   uint64
 	lineShift uint
 	clock     uint64
@@ -82,16 +84,20 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.Size / (cfg.LineSize * cfg.Ways)
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways:cfg.Ways], backing[cfg.Ways:]
-	}
+	slots := nsets * cfg.Ways
 	shift := uint(0)
 	for 1<<shift != cfg.LineSize {
 		shift++
 	}
-	return &Cache{cfg: cfg, sets: sets, setMask: uint64(nsets - 1), lineShift: shift}, nil
+	return &Cache{
+		cfg:       cfg,
+		keys:      make([]uint64, slots),
+		used:      make([]uint64, slots),
+		dirty:     make([]bool, slots),
+		ways:      cfg.Ways,
+		setMask:   uint64(nsets - 1),
+		lineShift: shift,
+	}, nil
 }
 
 // Config returns the cache configuration.
@@ -100,67 +106,81 @@ func (c *Cache) Config() Config { return c.cfg }
 // Access performs one read (write=false) or write (write=true) and reports
 // whether it hit. Misses allocate the line, evicting the LRU way; evicting
 // a dirty line counts a writeback.
+//
+//vliw:hotpath
 func (c *Cache) Access(addr uint64, write bool) bool {
+	hit, _ := c.access(addr, write)
+	return hit
+}
+
+// Fetch is Access(addr, false) with a caller-held slot hint: *hint is
+// the slot the caller's previous fetch resolved to. When that slot
+// still holds addr's line the set search is skipped; otherwise Fetch
+// searches as Access does and stores the resolved slot in *hint. A
+// line is resident in at most one way of the one set its address maps
+// to, so an exact match on the stored line address finds exactly the
+// slot the search would, and the LRU and statistics updates are the
+// same: Fetch and Access are interchangeable access for access. Any
+// in-range *hint is valid, including a stale one.
+//
+//vliw:hotpath
+func (c *Cache) Fetch(addr uint64, hint *int32) bool {
+	if h := *hint; c.keys[h] == addr>>c.lineShift+1 {
+		c.clock++
+		c.Stats.Accesses++
+		c.used[h] = c.clock
+		return true
+	}
+	hit, slot := c.access(addr, false)
+	*hint = int32(slot)
+	return hit
+}
+
+// access is Access reporting the slot that ends up holding addr's line.
+//
+//vliw:hotpath
+func (c *Cache) access(addr uint64, write bool) (bool, int) {
 	c.clock++
 	c.Stats.Accesses++
-	lineAddr := addr >> c.lineShift
-	set := c.sets[lineAddr&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			set[i].used = c.clock
+	key := addr>>c.lineShift + 1
+	base := int((key-1)&c.setMask) * c.ways
+	set := c.keys[base : base+c.ways]
+	for i, k := range set {
+		if k == key {
+			c.used[base+i] = c.clock
 			if write {
-				set[i].dirty = true
+				c.dirty[base+i] = true
 			}
-			return true
+			return true, base + i
 		}
 	}
 	c.Stats.Misses++
 	victim := -1
-	for i := range set {
-		if !set[i].valid {
+	for i, k := range set {
+		if k == 0 {
 			victim = i
 			break
 		}
 	}
 	if victim < 0 {
+		used := c.used[base : base+c.ways]
 		victim = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].used < set[victim].used {
+		for i := 1; i < len(used); i++ {
+			if used[i] < used[victim] {
 				victim = i
 			}
 		}
 	}
-	if set[victim].valid && set[victim].dirty {
+	// Only a resident line is ever dirty: nothing invalidates a line.
+	slot := base + victim
+	if c.dirty[slot] {
 		c.Stats.Writebacks++
 	}
-	set[victim] = line{tag: lineAddr, used: c.clock, valid: true, dirty: write}
-	return false
-}
-
-// Contains reports whether addr's line is resident (no state change).
-func (c *Cache) Contains(addr uint64) bool {
-	lineAddr := addr >> c.lineShift
-	set := c.sets[lineAddr&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			return true
-		}
-	}
-	return false
+	c.keys[slot] = key
+	c.used[slot] = c.clock
+	c.dirty[slot] = write
+	return false, slot
 }
 
 // MissPenalty returns the configured miss stall in cycles.
 func (c *Cache) MissPenalty() int { return c.cfg.MissPenalty }
-
-// Flush invalidates all lines (keeping statistics), counting writebacks
-// for dirty lines.
-func (c *Cache) Flush() {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid && c.sets[si][wi].dirty {
-				c.Stats.Writebacks++
-			}
-			c.sets[si][wi] = line{}
-		}
-	}
-}

@@ -235,7 +235,12 @@ func (c *Compiled) packedFold(d []PackedOcc, lim *PackedLimits, ids []int32, val
 
 // packedStack runs the general post-order program on packed entries,
 // mirroring the reference walk's merge rules (incompatible inputs
-// dropped whole, in input order).
+// dropped whole, in input order). Entries are built in place: a leaf
+// writes its fields into its stack slot (only the mask when the port
+// has no candidate — an empty entry's other fields are never read), and
+// a merge accumulates straight into its first input's slot. valid must
+// hold at least one of the tree's ports (SelectPacked answers fewer
+// than two candidates itself), so the root entry is never empty.
 //
 //vliw:hotpath
 func (c *Compiled) packedStack(d []PackedOcc, lim *PackedLimits, ids []int32, valid uint32) (uint32, uint8) {
@@ -244,24 +249,26 @@ func (c *Compiled) packedStack(d []PackedOcc, lim *PackedLimits, ids []int32, va
 	for _, ins := range c.prog {
 		if ins.op == opLeaf {
 			p := ins.arg
-			if valid&(1<<p) != 0 {
-				s := &d[ids[p]]
-				st[sp] = pentry{T: s.T, M: s.M, L: s.L, B: s.B, cm: s.CM, ops: s.Ops, mask: 1 << p}
-			} else {
-				st[sp] = pentry{}
-			}
+			e := &st[sp]
 			sp++
+			if valid&(1<<p) == 0 {
+				e.mask = 0
+				continue
+			}
+			s := &d[ids[p]]
+			e.T, e.M, e.L, e.B = s.T, s.M, s.L, s.B
+			e.cm, e.ops, e.mask = s.CM, s.Ops, 1<<p
 			continue
 		}
 		base := sp - int(ins.arg)
-		acc := st[base]
+		acc := &st[base]
 		for i := base + 1; i < sp; i++ {
 			s := &st[i]
 			if s.mask == 0 {
 				continue
 			}
 			if acc.mask == 0 {
-				acc = *s
+				*acc = *s
 				continue
 			}
 			if ins.op == opMergeCSMT {
@@ -284,7 +291,6 @@ func (c *Compiled) packedStack(d []PackedOcc, lim *PackedLimits, ids []int32, va
 			acc.ops += s.ops
 			acc.mask |= s.mask
 		}
-		st[base] = acc
 		sp = base + 1
 	}
 	return st[0].mask, st[0].ops

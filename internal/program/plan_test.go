@@ -96,13 +96,14 @@ func TestPlanShape(t *testing.T) {
 	}
 }
 
-// TestRetirePlanMatchesRetire drives two same-seeded walkers over each
-// program — one through Retire, one through RetirePlan — and requires
-// identical memory accesses, branch outcomes, retire counts and fetch
-// addresses at every step. This is the equivalence the simulator core
-// rests on against refsim, which retires through Retire: RetirePlan
-// must consume the walker RNG in exactly Retire's draw order.
-func TestRetirePlanMatchesRetire(t *testing.T) {
+// TestAdvanceMatchesRetire drives two same-seeded walkers over each
+// program — one through Retire, one through StreamAddr and Advance —
+// and requires identical memory accesses, branch outcomes, retire
+// counts and fetch addresses at every step. This is the equivalence the
+// simulator core rests on against refsim, which retires through
+// Retire: the split path must consume the walker RNG in exactly
+// Retire's draw order.
+func TestAdvanceMatchesRetire(t *testing.T) {
 	for _, p := range planPrograms(t) {
 		pl := program.NewPlan(p)
 		for _, seed := range []uint64{0, 1, 42} {
@@ -116,15 +117,19 @@ func TestRetirePlanMatchesRetire(t *testing.T) {
 					t.Fatalf("%s seed %d step %d: plan position diverged", p.Name, seed, step)
 				}
 				info := wr.Retire()
-				next, mem, taken := wp.RetirePlan(pl, f)
-				if taken != info.Taken || len(mem) != len(info.Mem) || int(pi.Ops) != info.Ops {
-					t.Fatalf("%s seed %d step %d: retire diverged (taken %v/%v, mem %d/%d)",
-						p.Name, seed, step, taken, info.Taken, len(mem), len(info.Mem))
+				if len(pi.Mem) != len(info.Mem) || int(pi.Ops) != info.Ops {
+					t.Fatalf("%s seed %d step %d: plan recipe diverged (mem %d/%d, ops %d/%d)",
+						p.Name, seed, step, len(pi.Mem), len(info.Mem), pi.Ops, info.Ops)
 				}
-				for i := range mem {
-					if mem[i] != info.Mem[i] {
+				for i := range pi.Mem {
+					got := program.MemAccess{Addr: wp.StreamAddr(pi.Mem[i].Stream), Store: pi.Mem[i].Store}
+					if got != info.Mem[i] {
 						t.Fatalf("%s seed %d step %d: access %d diverged", p.Name, seed, step, i)
 					}
+				}
+				next, taken := wp.Advance(pl, f)
+				if taken != info.Taken {
+					t.Fatalf("%s seed %d step %d: branch diverged (taken %v/%v)", p.Name, seed, step, taken, info.Taken)
 				}
 				if wp.Retired != wr.Retired {
 					t.Fatalf("%s seed %d step %d: retired counters diverged", p.Name, seed, step)
@@ -133,7 +138,7 @@ func TestRetirePlanMatchesRetire(t *testing.T) {
 				// Current must agree with the flat successor.
 				pin, pAddr := wp.Current()
 				if pin.Occ != pl.Instrs[next].Occ || pAddr != pl.Instrs[next].Addr+0x1000 {
-					t.Fatalf("%s seed %d step %d: walker position incoherent after RetirePlan", p.Name, seed, step)
+					t.Fatalf("%s seed %d step %d: walker position incoherent after Advance", p.Name, seed, step)
 				}
 				f = next
 			}

@@ -76,8 +76,11 @@ func (w *Walker) Current() (*isa.Instruction, uint64) {
 	return &b.Instrs[w.idx], b.Addrs[w.idx] + w.CodeOffset
 }
 
-// streamAddr evaluates and advances address stream si.
-func (w *Walker) streamAddr(si int) uint64 {
+// StreamAddr evaluates and advances address stream si, returning the
+// relocated data address.
+//
+//vliw:hotpath
+func (w *Walker) StreamAddr(si int32) uint64 {
 	s := &w.P.Streams[si]
 	switch s.Kind {
 	case ir.StreamStride:
@@ -106,7 +109,7 @@ func (w *Walker) Retire() RetireInfo {
 	for _, op := range in.Ops {
 		switch op.Class {
 		case isa.OpMem:
-			w.memBuf = append(w.memBuf, MemAccess{Addr: w.streamAddr(int(op.Stream)), Store: op.IsStore})
+			w.memBuf = append(w.memBuf, MemAccess{Addr: w.StreamAddr(int32(op.Stream)), Store: op.IsStore})
 		case isa.OpBranch:
 			hasBranch = true
 		}

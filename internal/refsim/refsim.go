@@ -2,7 +2,8 @@
 // per-cycle loop of internal/sim, kept verbatim in spirit — one full
 // iteration per cycle with no stall fast-forward, selection through the
 // recursive merge-tree walk (Scheme.ReferenceSelector) instead of the
-// compiled evaluator, and no hot-path shortcuts.
+// compiled evaluator, its own struct-per-line cache model (cache.go)
+// instead of internal/cache, and no hot-path shortcuts.
 //
 // It exists so the optimized sim.Run can be proven bit-identical: the
 // differential tests in internal/sim run both loops across the full
@@ -15,7 +16,6 @@ package refsim
 import (
 	"fmt"
 
-	"vliwmt/internal/cache"
 	"vliwmt/internal/isa"
 	"vliwmt/internal/merge"
 	"vliwmt/internal/program"
@@ -84,12 +84,12 @@ func Run(cfg sim.Config, tasks []sim.Task) (*sim.Result, error) {
 			return nil, fmt.Errorf("refsim: scheme %s has %d ports, machine has %d contexts", sch.Name(), sel.Ports(), cfg.Contexts)
 		}
 	}
-	var ic, dc *cache.Cache
+	var ic, dc *Cache
 	if !cfg.PerfectMemory {
-		if ic, err = cache.New(cfg.ICache); err != nil {
+		if ic, err = NewCache(cfg.ICache); err != nil {
 			return nil, fmt.Errorf("refsim: icache: %w", err)
 		}
-		if dc, err = cache.New(cfg.DCache); err != nil {
+		if dc, err = NewCache(cfg.DCache); err != nil {
 			return nil, fmt.Errorf("refsim: dcache: %w", err)
 		}
 	}

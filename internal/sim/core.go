@@ -21,8 +21,16 @@ import (
 // gathering reads one flat record per port.
 //
 // Layout: the per-task context state (current instruction, readyAt,
-// fetched, done, per-thread stats) lives in flat struct-of-arrays
-// slices indexed by task, so the cycle loop walks contiguous memory.
+// fetched, fetch-slot hint, per-thread stats) lives in flat
+// struct-of-arrays slices indexed by task, so the cycle loop walks
+// contiguous memory. A finished thread needs no flag: the first thread
+// to retire its budget ends the run in that same cycle, so no step,
+// schedule or fast-forward ever sees a finished thread.
+//
+// Counters: the loop bumps only what it cannot derive. Per-thread
+// instruction counts come from the walkers, ScheduledCycles is Instrs +
+// ConflictCycles, and the run totals are per-thread sums, all filled in
+// once by finalize.
 //
 // Selection: every multi-context run selects on the packed occupancy
 // dictionary (merge.SelectPacked) from the gathered dictionary IDs
@@ -45,16 +53,17 @@ type cpu struct {
 	plans []*program.Plan
 	plis  [][]program.PlannedInstr
 
-	// Per-task context state.
-	walkers []*program.Walker
-	cur     []int32 // flat plan index of the current instruction
-	readyAt []int64
-	fetched []bool
-	done    []bool
-	stats   []ThreadStats
+	// Per-task context state. fetchSlot[ti] is the I-cache slot of the
+	// task's last fetch (cache.Fetch's same-line hint).
+	walkers   []*program.Walker
+	cur       []int32 // flat plan index of the current instruction
+	readyAt   []int64
+	fetched   []bool
+	fetchSlot []int32
+	stats     []ThreadStats
 
 	// OS scheduling state: running maps hardware contexts to task
-	// indices (-1 = idle), pool holds descheduled tasks not yet done.
+	// indices (-1 = idle), pool holds the descheduled tasks.
 	running []int
 	pool    []int
 	osRng   rng
@@ -71,10 +80,11 @@ type cpu struct {
 	fixedPrio bool
 
 	// Per-cycle buffers, reused across every cycle of the run: candID[p]
-	// is the dictionary ID of the candidate at merge port p and ports[p]
-	// the context mapped to port p under the cycle's priority rotation.
-	candID []int32
-	ports  []int
+	// is the dictionary ID of the candidate at merge port p and
+	// portTask[p] its task index. Both are written only for ports set in
+	// the cycle's valid mask.
+	candID   []int32
+	portTask []int32
 
 	// pd is the run-wide packed occupancy dictionary and plim the
 	// machine's SWAR limit constants; both are set only when sel is.
@@ -167,7 +177,7 @@ func newCPU(cfg Config, tasks []Task) (*cpu, error) {
 		cur:       make([]int32, nt),
 		readyAt:   make([]int64, nt),
 		fetched:   make([]bool, nt),
-		done:      make([]bool, nt),
+		fetchSlot: make([]int32, nt),
 		stats:     make([]ThreadStats, nt),
 		running:   make([]int, cfg.Contexts),
 		pool:      make([]int, 0, nt),
@@ -178,7 +188,7 @@ func newCPU(cfg Config, tasks []Task) (*cpu, error) {
 		rotMask:   -1,
 		fixedPrio: cfg.FixedPriority,
 		candID:    make([]int32, cfg.Contexts),
-		ports:     make([]int, cfg.Contexts),
+		portTask:  make([]int32, cfg.Contexts),
 		res: &Result{
 			MergeHist:  make([]int64, cfg.Contexts+1),
 			IssueWidth: m.TotalIssueWidth(),
@@ -271,7 +281,7 @@ func (c *cpu) run() *Result {
 //vliw:hotpath
 func (c *cpu) schedule() {
 	for ctx, ti := range c.running {
-		if ti >= 0 && !c.done[ti] {
+		if ti >= 0 {
 			c.pool = append(c.pool, ti)
 		}
 		c.running[ctx] = -1
@@ -299,7 +309,7 @@ func (c *cpu) nextEvent(now int64) int64 {
 		next = c.nextSlice
 	}
 	for _, ti := range c.running {
-		if ti < 0 || c.done[ti] {
+		if ti < 0 {
 			continue
 		}
 		e := c.readyAt[ti]
@@ -346,33 +356,29 @@ func (c *cpu) step(cycle int64) int64 {
 	}
 	nCtx := c.nCtx
 	// Priority rotation: the thread-to-port mapping advances each cycle
-	// so every thread takes every position in the merge tree.
-	rot := 0
+	// so every thread takes every position in the merge tree — port p
+	// reads context (p + rot) mod nCtx.
+	ctx := 0
 	if !c.fixedPrio {
 		if c.rotMask >= 0 {
-			rot = int(cycle & c.rotMask)
+			ctx = int(cycle & c.rotMask)
 		} else {
-			rot = int(cycle % int64(nCtx))
+			ctx = int(cycle % int64(nCtx))
 		}
 	}
 	var valid uint32
 	for p := 0; p < nCtx; p++ {
-		ctx := p + rot
-		if ctx >= nCtx {
-			ctx -= nCtx
-		}
-		c.ports[p] = ctx
 		ti := c.running[ctx]
-		if ti < 0 {
-			continue
+		if ctx++; ctx == nCtx {
+			ctx = 0
 		}
-		if c.done[ti] || c.readyAt[ti] > cycle {
+		if ti < 0 || c.readyAt[ti] > cycle {
 			continue
 		}
 		pi := &c.plis[ti][c.cur[ti]]
 		if !c.fetched[ti] {
 			c.fetched[ti] = true // the line arrives during any stall
-			if c.ic != nil && !c.ic.Access(pi.Addr, false) {
+			if c.ic != nil && !c.ic.Fetch(pi.Addr, &c.fetchSlot[ti]) {
 				pen := int64(c.ic.MissPenalty())
 				c.readyAt[ti] = cycle + pen
 				c.stats[ti].StallFetch += pen
@@ -380,6 +386,7 @@ func (c *cpu) step(cycle int64) int64 {
 			}
 		}
 		c.candID[p] = pi.OccID
+		c.portTask[p] = int32(ti)
 		valid |= 1 << uint(p)
 	}
 
@@ -393,18 +400,13 @@ func (c *cpu) step(cycle int64) int64 {
 		c.res.EmptyCycles++
 	}
 
-	for p := 0; p < nCtx; p++ {
-		if valid&(1<<uint(p)) == 0 {
-			continue
-		}
-		ti := c.running[c.ports[p]]
-		c.stats[ti].ScheduledCycles++
-		if mask&(1<<uint(p)) == 0 {
-			c.stats[ti].ConflictCycles++
-			continue
-		}
-		if c.retireOne(ti, cycle) {
-			c.done[ti] = true
+	for v := valid &^ mask; v != 0; v &= v - 1 {
+		c.stats[c.portTask[bits.TrailingZeros32(v)]].ConflictCycles++
+	}
+	// Retire in ascending port order: the D-cache sees the accesses in
+	// the same order as the reference loop.
+	for v := mask; v != 0; v &= v - 1 {
+		if c.retireOne(int(c.portTask[bits.TrailingZeros32(v)]), cycle) {
 			c.finished = true
 		}
 	}
@@ -423,11 +425,11 @@ func (c *cpu) stepSingle(cycle int64) int64 {
 		c.nextSlice = cycle + c.cfg.TimesliceCycles
 	}
 	ti := c.running[0]
-	ready := ti >= 0 && !c.done[ti] && c.readyAt[ti] <= cycle
+	ready := ti >= 0 && c.readyAt[ti] <= cycle
 	if ready && !c.fetched[ti] {
 		pi := &c.plis[ti][c.cur[ti]]
 		c.fetched[ti] = true // the line arrives during any stall
-		if c.ic != nil && !c.ic.Access(pi.Addr, false) {
+		if c.ic != nil && !c.ic.Fetch(pi.Addr, &c.fetchSlot[ti]) {
 			pen := int64(c.ic.MissPenalty())
 			c.readyAt[ti] = cycle + pen
 			c.stats[ti].StallFetch += pen
@@ -437,43 +439,40 @@ func (c *cpu) stepSingle(cycle int64) int64 {
 	if !ready {
 		return c.fastForward(cycle)
 	}
-	pi := &c.plis[ti][c.cur[ti]]
 	c.res.MergeHist[1]++
-	if pi.Occ.Ops == 0 {
+	if c.plis[ti][c.cur[ti]].Occ.Ops == 0 {
 		c.res.EmptyCycles++
 	}
-	c.stats[ti].ScheduledCycles++
 	if c.retireOne(ti, cycle) {
-		c.done[ti] = true
 		c.finished = true
 	}
 	return cycle + 1
 }
 
 // retireOne retires task ti's current instruction at cycle, driven by
-// its plan: the memory-op recipe and operation count come precomputed
-// from the PlannedInstr, and the successor is a flat index. It updates
-// run totals and the thread's stall clock, and reports whether the
-// thread hit its instruction budget (ending the run).
+// its plan: each memory op draws its address from the walker and probes
+// the D-cache in program order, then the walker advances past the
+// instruction (resolving a block-end branch) — Retire's RNG draw order.
+// It updates the thread's op count and stall clock, and reports whether
+// the thread hit its instruction budget (ending the run).
 //
 //vliw:hotpath
 func (c *cpu) retireOne(ti int, cycle int64) bool {
 	f := c.cur[ti]
-	next, mem, taken := c.walkers[ti].RetirePlan(c.plans[ti], f)
 	pi := &c.plis[ti][f]
-	c.cur[ti] = next
-	c.fetched[ti] = false
-	c.stats[ti].Instrs++
-	c.stats[ti].Ops += int64(pi.Ops)
-	c.res.Instrs++
-	c.res.Ops += int64(pi.Ops)
-
+	w := c.walkers[ti]
 	var memStall, brStall int64
-	for i := range mem {
-		if c.dc != nil && !c.dc.Access(mem[i].Addr, mem[i].Store) {
+	for i := range pi.Mem {
+		m := &pi.Mem[i]
+		addr := w.StreamAddr(m.Stream)
+		if c.dc != nil && !c.dc.Access(addr, m.Store) {
 			memStall += int64(c.dc.MissPenalty())
 		}
 	}
+	next, taken := w.Advance(c.plans[ti], f)
+	c.cur[ti] = next
+	c.fetched[ti] = false
+	c.stats[ti].Ops += int64(pi.Ops)
 	if taken {
 		brStall = int64(c.m.BranchPenalty)
 	}
@@ -488,12 +487,21 @@ func (c *cpu) retireOne(ti int, cycle int64) bool {
 		c.stats[ti].StallMem += memStall
 		c.stats[ti].StallBranch += brStall
 	}
-	return c.walkers[ti].Retired >= c.cfg.InstrLimit
+	return w.Retired >= c.cfg.InstrLimit
 }
 
-// finalize closes the run at the given cycle count.
+// finalize closes the run at the given cycle count, deriving the
+// counters the cycle loop leaves out: per-thread Instrs (the walkers'
+// retire counts) and ScheduledCycles, and the run's Instrs and Ops.
 func (c *cpu) finalize(cycles int64) *Result {
 	res := c.res
+	for i := range c.stats {
+		st := &c.stats[i]
+		st.Instrs = c.walkers[i].Retired
+		st.ScheduledCycles = st.Instrs + st.ConflictCycles
+		res.Instrs += st.Instrs
+		res.Ops += st.Ops
+	}
 	res.Cycles = cycles
 	res.TimedOut = !c.finished
 	if res.Cycles > 0 {

@@ -14,8 +14,11 @@ import (
 	"testing"
 
 	"vliwmt/internal/cache"
+	"vliwmt/internal/compiler"
+	"vliwmt/internal/ir"
 	"vliwmt/internal/isa"
 	"vliwmt/internal/merge"
+	"vliwmt/internal/program"
 	"vliwmt/internal/refsim"
 	"vliwmt/internal/sim"
 	"vliwmt/internal/workload"
@@ -98,6 +101,49 @@ func TestDifferentialPaperMatrix(t *testing.T) {
 	}
 }
 
+// TestScheduledCyclesIdentity checks the counters finalize derives on
+// the paper matrix: every thread's ScheduledCycles is Instrs +
+// ConflictCycles (a ready candidate either issues or conflicts), and
+// the run's Instrs and Ops are the per-thread sums. refsim still counts
+// ScheduledCycles cycle by cycle, so the differential suites check the
+// derivation against the counted value too.
+func TestScheduledCyclesIdentity(t *testing.T) {
+	m := isa.Default()
+	tasks := diffTasks(t, m)
+	schemes := append(merge.PaperSchemes4(), "IMT", "BMT")
+	for _, scheme := range schemes {
+		for _, perfect := range []bool{true, false} {
+			cfg := sim.DefaultConfig()
+			cfg.Scheme = scheme
+			cfg.Contexts = schemePorts(t, scheme)
+			cfg.PerfectMemory = perfect
+			cfg.InstrLimit = 3_000
+			cfg.TimesliceCycles = 700
+			res, err := sim.Run(cfg, tasks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var instrs, ops, conflicts int64
+			for _, th := range res.Threads {
+				if th.ScheduledCycles != th.Instrs+th.ConflictCycles {
+					t.Errorf("%s/perfect=%v/%s: ScheduledCycles %d != Instrs %d + ConflictCycles %d",
+						scheme, perfect, th.Name, th.ScheduledCycles, th.Instrs, th.ConflictCycles)
+				}
+				instrs += th.Instrs
+				ops += th.Ops
+				conflicts += th.ConflictCycles
+			}
+			if res.Instrs != instrs || res.Ops != ops {
+				t.Errorf("%s/perfect=%v: run totals instrs %d ops %d, thread sums %d / %d",
+					scheme, perfect, res.Instrs, res.Ops, instrs, ops)
+			}
+			if instrs == 0 || (scheme != "IMT" && scheme != "BMT" && conflicts == 0) {
+				t.Errorf("%s/perfect=%v: degenerate run (instrs %d, conflicts %d)", scheme, perfect, instrs, conflicts)
+			}
+		}
+	}
+}
+
 // TestDifferentialStallHeavy aims at the fast-forward path specifically:
 // a tiny data cache with a long miss penalty makes all-stalled spans the
 // common case, including spans that cross timeslice boundaries.
@@ -115,6 +161,48 @@ func TestDifferentialStallHeavy(t *testing.T) {
 	// current cycle must wake next cycle, not never.
 	cfg.ICache = cache.Config{Size: 4 << 10, LineSize: 64, Ways: 2, MissPenalty: 0}
 	runBoth(t, cfg, tasks)
+}
+
+// TestDifferentialRetireDrawOrder pins the walker RNG draw order on
+// retire: memory ops draw their addresses in program order before the
+// block-end branch draws its outcome. The kernel makes the order
+// observable — a random-stream load and store share the block's last
+// instruction with a Bernoulli branch, so all three draws come from one
+// retire — and the oracle retires through Walker.Retire.
+func TestDifferentialRetireDrawOrder(t *testing.T) {
+	b := ir.NewBuilder("draworder")
+	s := b.Stream(ir.MemStream{Kind: ir.StreamRandom, Footprint: 1 << 16})
+	b.Block("body")
+	v := b.Chain(b.ALU(), 3)
+	b.Load(s, v)
+	b.Store(s, v)
+	b.Branch("body", ir.Bernoulli(0.5), v)
+	b.Block("tail")
+	b.ALU()
+	p, err := compiler.Compile(b.MustFinish(), compiler.Options{Machine: isa.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := false
+	for _, pi := range program.NewPlan(p).Instrs {
+		covered = covered || (pi.Branch && len(pi.Mem) > 0)
+	}
+	if !covered {
+		t.Fatal("kernel has no instruction retiring memory ops and a branch together; the test covers nothing")
+	}
+	tasks := append(diffTasks(t, isa.Default())[:2], sim.Task{Name: "draworder", Prog: p})
+	for _, scheme := range []string{"", "2SC3"} {
+		cfg := sim.DefaultConfig()
+		cfg.Scheme = scheme
+		cfg.Contexts = 1
+		if scheme != "" {
+			cfg.Contexts = schemePorts(t, scheme)
+		}
+		cfg.InstrLimit = 4_000
+		cfg.TimesliceCycles = 900
+		cfg.DCache = cache.Config{Size: 4 << 10, LineSize: 64, Ways: 2, MissPenalty: 20}
+		runBoth(t, cfg, tasks)
+	}
 }
 
 // TestDifferentialTimeout covers the MaxCycles fast-forward clamp: when

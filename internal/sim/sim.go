@@ -79,7 +79,11 @@ type ThreadStats struct {
 	Name string
 	// Instrs and Ops are retired VLIW instructions and operations.
 	Instrs, Ops int64
-	// ScheduledCycles counts cycles the thread held a hardware context.
+	// ScheduledCycles counts cycles the thread was a ready merge
+	// candidate: it held a hardware context, was not stalled and had
+	// its instruction fetched. Each such cycle either issues the
+	// instruction or counts a conflict, so ScheduledCycles always equals
+	// Instrs + ConflictCycles.
 	ScheduledCycles int64
 	// ConflictCycles counts cycles the thread had an instruction ready
 	// but the merge control did not select it.
