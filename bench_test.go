@@ -203,7 +203,7 @@ func BenchmarkStoreColdSweep(b *testing.B) {
 	grid := storeBenchGrid()
 	jobs := 0
 	for i := 0; i < b.N; i++ {
-		r := vliwmt.NewRunner(vliwmt.WithResultStore(b.TempDir()))
+		r := vliwmt.NewRunner(vliwmt.WithStore(vliwmt.OpenResultStore(b.TempDir())))
 		results, err := r.Sweep(context.Background(), grid)
 		if err != nil {
 			b.Fatal(err)
@@ -227,14 +227,14 @@ func BenchmarkStoreColdSweep(b *testing.B) {
 func BenchmarkStoreWarmSweep(b *testing.B) {
 	grid := storeBenchGrid()
 	dir := b.TempDir()
-	warm := vliwmt.NewRunner(vliwmt.WithResultStore(dir))
+	warm := vliwmt.NewRunner(vliwmt.WithStore(vliwmt.OpenResultStore(dir)))
 	if _, err := warm.Sweep(context.Background(), grid); err != nil {
 		b.Fatal(err)
 	}
 	jobs := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := vliwmt.NewRunner(vliwmt.WithResultStore(dir))
+		r := vliwmt.NewRunner(vliwmt.WithStore(vliwmt.OpenResultStore(dir)))
 		results, err := r.Sweep(context.Background(), grid)
 		if err != nil {
 			b.Fatal(err)
@@ -272,7 +272,7 @@ func BenchmarkGeneratedSweepCold(b *testing.B) {
 	grid := generatedBenchGrid()
 	jobs := 0
 	for i := 0; i < b.N; i++ {
-		r := vliwmt.NewRunner(vliwmt.WithResultStore(b.TempDir()))
+		r := vliwmt.NewRunner(vliwmt.WithStore(vliwmt.OpenResultStore(b.TempDir())))
 		results, err := r.Sweep(context.Background(), grid)
 		if err != nil {
 			b.Fatal(err)
@@ -296,14 +296,14 @@ func BenchmarkGeneratedSweepCold(b *testing.B) {
 func BenchmarkGeneratedSweepWarm(b *testing.B) {
 	grid := generatedBenchGrid()
 	dir := b.TempDir()
-	warm := vliwmt.NewRunner(vliwmt.WithResultStore(dir))
+	warm := vliwmt.NewRunner(vliwmt.WithStore(vliwmt.OpenResultStore(dir)))
 	if _, err := warm.Sweep(context.Background(), grid); err != nil {
 		b.Fatal(err)
 	}
 	jobs := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := vliwmt.NewRunner(vliwmt.WithResultStore(dir))
+		r := vliwmt.NewRunner(vliwmt.WithStore(vliwmt.OpenResultStore(dir)))
 		results, err := r.Sweep(context.Background(), grid)
 		if err != nil {
 			b.Fatal(err)

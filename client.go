@@ -17,11 +17,14 @@ import (
 )
 
 // Client submits sweeps to a remote vliwserve instance (cmd/vliwserve)
-// over its versioned HTTP API and returns the same SweepResults as an
+// or vliwfabric coordinator (cmd/vliwfabric) over their shared
+// versioned HTTP API and returns the same SweepResults as an
 // in-process call. The determinism contract crosses the wire: a grid
 // swept remotely is bit-identical (modulo wall-clock fields) to the
 // same grid swept in-process with the same seed, at any worker count
-// on either side.
+// on either side. Through a coordinator the jobs are sharded across
+// its worker pool, and each Result's Worker and Shard record where it
+// was computed.
 type Client struct {
 	baseURL string
 	httpc   *http.Client
@@ -53,6 +56,30 @@ func (c *Client) Ping(ctx context.Context) error {
 		return fmt.Errorf("vliwmt: server health check: %s", resp.Status)
 	}
 	return nil
+}
+
+// ServerHealth is the structured liveness document served by
+// GET /v1/healthz on vliwserve and vliwfabric: build identity, current
+// load and (when persistence is configured) result-store traffic.
+type ServerHealth = api.Health
+
+// Health fetches the server's structured health document — a richer
+// probe than Ping, exposing active sweeps and store counters. Both
+// vliwserve and vliwfabric serve it.
+func (c *Client) Health(ctx context.Context) (ServerHealth, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/v1/healthz", nil)
+	if err != nil {
+		return ServerHealth{}, err
+	}
+	resp, err := c.httpc.Do(req)
+	if err != nil {
+		return ServerHealth{}, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return ServerHealth{}, fmt.Errorf("vliwmt: health: %s: %s", resp.Status, readError(resp.Body))
+	}
+	return api.DecodeHealth(resp.Body)
 }
 
 // Sweep submits the grid to the server, which expands it with the same

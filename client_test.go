@@ -200,11 +200,11 @@ func TestClientHealth(t *testing.T) {
 	}
 }
 
-// TestFabricClientEndToEnd drives the full public path: a coordinator
+// TestFabricEndToEnd drives the full public path: a coordinator
 // serving the wire API with two vliwserve workers behind it, submitted
-// to via FabricClient — results bit-identical to in-process, with
+// to via Client — results bit-identical to in-process, with
 // worker/shard attribution preserved across the wire.
-func TestFabricClientEndToEnd(t *testing.T) {
+func TestFabricEndToEnd(t *testing.T) {
 	g := runnerTestGrid()
 	local, err := vliwmt.Sweep(context.Background(), g, nil)
 	if err != nil {
@@ -229,7 +229,7 @@ func TestFabricClientEndToEnd(t *testing.T) {
 	cts := httptest.NewServer(csrv.Handler())
 	defer cts.Close()
 
-	fc := vliwmt.NewFabricClient(cts.URL)
+	fc := vliwmt.NewClient(cts.URL)
 	if h, err := fc.Health(context.Background()); err != nil || h.Service != "vliwfabric" {
 		t.Fatalf("coordinator health: %+v, %v", h, err)
 	}

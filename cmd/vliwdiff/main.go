@@ -4,8 +4,9 @@
 // divergence (and 0 when everything is bit-identical).
 //
 // A snapshot source is either a result-store directory (as written by
-// `vliwsweep -store`, `vliwserve -results` or WithResultStore) or a
-// snapshot JSON file (as written by vliwgolden or -save):
+// `vliwsweep -store`, `vliwserve -results` or a Runner with
+// WithStore(OpenResultStore(dir))) or a snapshot JSON file (as written
+// by vliwgolden or -save):
 //
 //	vliwdiff old-store/ new-store/         # two stores, e.g. two worktrees
 //	vliwdiff testdata/golden/corpus.json new-store/
@@ -33,13 +34,14 @@ import (
 
 	"vliwmt"
 	"vliwmt/internal/merge"
+	"vliwmt/internal/sweep"
 )
 
 func run() (clean bool, err error) {
 	var (
 		schemes    = flag.String("schemes", "", "live mode: comma-separated merge schemes to run against the baseline")
 		mixes      = flag.String("mixes", "", "live mode: comma-separated Table 2 mixes")
-		instr      = flag.Int64("instr", 300_000, "live mode: per-thread instruction budget")
+		instr      = flag.Int64("instr", sweep.DefaultInstrLimit, "live mode: per-thread instruction budget")
 		timeslice  = flag.Int64("timeslice", 0, "live mode: OS quantum in cycles (0: budget/100)")
 		seed       = flag.Uint64("seed", 1, "live mode: sweep seed")
 		sharedSeed = flag.Bool("sharedseed", false, "live mode: give every job the sweep seed verbatim")

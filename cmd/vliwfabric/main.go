@@ -9,7 +9,7 @@
 //
 //	vliwfabric -workers 10.0.0.1:8080,10.0.0.2:8080
 //	vliwfabric -workers-file workers.txt -results /var/cache/vliwmt
-//	vliwsweep -fabric coordinator:8080 ...      # submit through it
+//	vliwsweep -addr coordinator:8080 ...        # submit through it
 //
 // The coordinator speaks the same endpoints as vliwserve (POST
 // /v1/sweeps, NDJSON /events, GET /v1/healthz, GET /metrics with the
@@ -23,17 +23,12 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"log"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"vliwmt/internal/fabric"
 	"vliwmt/internal/resultstore"
@@ -52,9 +47,8 @@ func main() {
 		shardJobs   = flag.Int("shard-jobs", 0, "unique jobs per shard (0: fabric default)")
 		retries     = flag.Int("retries", 0, "max re-dispatches per shard (0: fabric default)")
 		ping        = flag.Duration("ping", 0, "worker health-probe interval (0: fabric default)")
-		quiet       = flag.Bool("quiet", false, "suppress request and sweep lifecycle logging")
 		debug       = flag.Bool("debug", true, "serve GET /metrics (Prometheus text format) and /debug/pprof/")
-		logLevel    = flag.String("log-level", "info", "structured-trace level: debug, info, warn or error")
+		logLevel    = flag.String("log-level", "info", "structured-trace level: debug, info, warn or error (warn drops the sweep lifecycle records)")
 		logJSON     = flag.Bool("log-json", false, "emit structured traces as JSON lines instead of text")
 	)
 	flag.Parse()
@@ -83,47 +77,19 @@ func main() {
 	}
 	defer coord.Close()
 
-	opts := server.Options{
+	srv := server.New(server.Options{
 		Store:        store,
 		Execute:      coord.Run,
 		Service:      "vliwfabric",
 		DisableDebug: !*debug,
-	}
-	if !*quiet {
-		opts.Log = log.Default()
-	}
-	srv := server.New(opts)
+	})
 	defer srv.Close()
-
-	ln, err := net.Listen("tcp", *addr)
+	err = srv.Serve(*addr, func(a net.Addr) {
+		log.Printf("listening on http://%s, %d workers: %s", a, len(pool), strings.Join(coord.Workers(), ", "))
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
-	log.Printf("listening on http://%s, %d workers: %s",
-		ln.Addr(), len(pool), strings.Join(coord.Workers(), ", "))
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		<-ctx.Done()
-		stop()
-		// Cancel in-flight sweeps first so wait-mode handlers return,
-		// then drain the listener.
-		srv.Close()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shutdownCtx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-	}()
-
-	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
-	}
-	<-drained
 	log.Print("shut down")
 }
 

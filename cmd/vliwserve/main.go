@@ -26,24 +26,20 @@
 // seed at any worker count. SIGINT/SIGTERM drain the listener and
 // cancel in-flight sweeps.
 //
-// Structured tracing goes to stderr via log/slog: every sweep logs
-// span-style start/finish events tagged with its ID (-log-level debug
-// adds a line per job; -log-json switches to JSON lines for log
-// shippers).
+// Structured tracing goes to stderr via log/slog: every sweep logs its
+// lifecycle (submitted, cancel requested, terminal) and span-style
+// start/finish events tagged with its ID. -log-level debug adds a line
+// per job, -log-level warn keeps only warnings and errors, and
+// -log-json switches to JSON lines for log shippers.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"log"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
+	"vliwmt/internal/resultstore"
 	"vliwmt/internal/server"
 	"vliwmt/internal/telemetry"
 )
@@ -55,9 +51,8 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
 		workers  = flag.Int("workers", 0, "default per-sweep worker pool size (0: runtime.NumCPU())")
 		results  = flag.String("results", "", "directory for result persistence (empty: disabled)")
-		quiet    = flag.Bool("quiet", false, "suppress request and sweep lifecycle logging")
 		debug    = flag.Bool("debug", true, "serve GET /metrics (Prometheus text format) and /debug/pprof/")
-		logLevel = flag.String("log-level", "info", "structured-trace level: debug, info, warn or error (debug adds a line per job)")
+		logLevel = flag.String("log-level", "info", "structured-trace level: debug, info, warn or error (debug adds a line per job; warn drops the sweep lifecycle records)")
 		logJSON  = flag.Bool("log-json", false, "emit structured traces as JSON lines instead of text")
 	)
 	flag.Parse()
@@ -65,42 +60,15 @@ func main() {
 	if _, err := telemetry.ConfigureSlog(os.Stderr, *logLevel, *logJSON); err != nil {
 		log.Fatal(err)
 	}
-	opts := server.Options{Workers: *workers, ResultDir: *results, DisableDebug: !*debug}
-	if !*quiet {
-		opts.Log = log.Default()
+	opts := server.Options{Workers: *workers, DisableDebug: !*debug}
+	if *results != "" {
+		opts.Store = resultstore.Open(*results)
 	}
 	srv := server.New(opts)
 	defer srv.Close()
-
-	ln, err := net.Listen("tcp", *addr)
+	err := srv.Serve(*addr, func(a net.Addr) { log.Printf("listening on http://%s", a) })
 	if err != nil {
 		log.Fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
-	log.Printf("listening on http://%s", ln.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		<-ctx.Done()
-		stop()
-		// Cancel in-flight sweeps first so wait-mode handlers return,
-		// then drain the listener.
-		srv.Close()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shutdownCtx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-	}()
-
-	// Serve returns ErrServerClosed as soon as Shutdown begins; wait for
-	// the drain to finish before exiting the process.
-	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
-	}
-	<-drained
 	log.Print("shut down")
 }

@@ -22,6 +22,7 @@ import (
 
 	"vliwmt"
 	"vliwmt/internal/report"
+	"vliwmt/internal/sweep"
 )
 
 func main() {
@@ -33,7 +34,7 @@ func main() {
 		scheme   = flag.String("scheme", "2SC3", "merging scheme: a name (see -list), IMT/BMT, or a tree expression like 'C(S(T0,T1),T2,T3)'")
 		contexts = flag.Int("contexts", 4, "hardware thread contexts")
 		instrs   = flag.Int64("instrs", 1_000_000, "per-thread instruction budget")
-		slice    = flag.Int64("timeslice", 0, "OS timeslice in cycles (default instrs/100)")
+		slice    = flag.Int64("timeslice", 0, "OS timeslice in cycles (0: instrs/100, floored at 1000)")
 		perfect  = flag.Bool("perfect", false, "perfect memory (no caches)")
 		fixed    = flag.Bool("fixed-priority", false, "disable round-robin priority rotation")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
@@ -60,14 +61,10 @@ func main() {
 		}
 	}
 	cfg.InstrLimit = *instrs
+	_, cfg.TimesliceCycles = sweep.Budget(*instrs, *slice)
 	cfg.PerfectMemory = *perfect
 	cfg.FixedPriority = *fixed
 	cfg.Seed = *seed
-	if *slice > 0 {
-		cfg.TimesliceCycles = *slice
-	} else {
-		cfg.TimesliceCycles = max64(*instrs/100, 1000)
-	}
 
 	var res *vliwmt.Result
 	var err error
@@ -94,13 +91,6 @@ func main() {
 		log.Fatal(err)
 	}
 	printResult(cfg, res)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func printLists() {

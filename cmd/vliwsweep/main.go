@@ -10,8 +10,7 @@
 //	vliwsweep -workers 8 -instr 1000000 -seed 3 -format json
 //	vliwsweep -sharedseed -progress
 //	vliwsweep -store results/ -mixes LLHH      # persistent result store
-//	vliwsweep -addr localhost:8080 -mixes LLHH # same grid, remote vliwserve
-//	vliwsweep -fabric coord:8080 -mixes LLHH   # same grid, distributed fabric
+//	vliwsweep -addr localhost:8080 -mixes LLHH # same grid, remote vliwserve or vliwfabric
 //	vliwsweep -stats -mixes LLHH               # lifecycle summary on stderr
 //	vliwsweep -log-level debug -log-json       # structured sweep tracing
 //
@@ -20,12 +19,11 @@
 // same seed instead (required when comparing schemes the paper treats as
 // functionally identical, e.g. C4 vs 3CCC).
 //
-// With -addr the grid is submitted to a running vliwserve instance
+// With -addr the grid is submitted to a running vliwserve instance, or
+// to a vliwfabric coordinator that shards it across a worker pool,
 // instead of the in-process engine; the determinism contract crosses
 // the wire, so the output is identical modulo the wall-clock fields
-// (elapsed_sec / time). With -fabric it is submitted to a vliwfabric
-// coordinator, which shards it across a worker pool — same contract,
-// same output, many boxes.
+// (elapsed_sec / time).
 //
 // With -store, completed jobs persist in a content-addressed store at
 // the given directory and later sweeps serve identical jobs from disk
@@ -117,14 +115,13 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vliwsweep: ")
 	var (
-		addr       = flag.String("addr", "", "submit the grid to a remote vliwserve at this address instead of running in-process")
+		addr       = flag.String("addr", "", "submit the grid to a remote vliwserve or vliwfabric at this address instead of running in-process")
 		jobsFile   = flag.String("jobs", "", "read a sweep-request JSON document (a grid or an explicit job set, e.g. emitted by vliwgen) from this file, - for stdin; replaces -schemes/-mixes")
-		fabric     = flag.String("fabric", "", "submit the grid to a vliwfabric coordinator at this address (sharded across its worker pool)")
 		schemes    = flag.String("schemes", "", "comma-separated merge schemes — names or tree expressions like C(S(T0,T1),T2,T3) (default: the paper's sixteen)")
 		mixes      = flag.String("mixes", "", "comma-separated Table 2 mixes (default: all nine)")
 		workers    = flag.Int("workers", 0, "worker pool size (0: runtime.NumCPU())")
 		seed       = flag.Uint64("seed", 1, "sweep seed; per-job seeds derive from it")
-		instr      = flag.Int64("instr", 300_000, "per-thread instruction budget")
+		instr      = flag.Int64("instr", sweep.DefaultInstrLimit, "per-thread instruction budget")
 		timeslice  = flag.Int64("timeslice", 0, "OS quantum in cycles (0: budget/100)")
 		sharedSeed = flag.Bool("sharedseed", false, "give every job the sweep seed verbatim")
 		store      = flag.String("store", "", "persistent result store directory: serve repeated jobs from disk, persist fresh ones")
@@ -151,14 +148,11 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if *addr != "" && *fabric != "" {
-		log.Fatal("-addr and -fabric both name a remote endpoint; pick one")
-	}
-	if (*addr != "" || *fabric != "") && *store != "" {
+	if *addr != "" && *store != "" {
 		// The remote server owns its own store (vliwserve -results,
 		// vliwfabric -results); silently ignoring -store would look
 		// like caching that never happens.
-		log.Fatal("-store applies to in-process sweeps; with -addr or -fabric, configure the store on the server (-results)")
+		log.Fatal("-store applies to in-process sweeps; with -addr, configure the store on the server (-results)")
 	}
 	// Profiling starts only after flag validation, and fatal paths go
 	// through fatal() below so an error mid-sweep still flushes the
@@ -223,9 +217,9 @@ func main() {
 			fatal("-jobs document carries neither a grid nor a job set")
 		}
 	}
-	opts := &vliwmt.SweepOptions{Workers: *workers, ResultDir: *store}
+	var progressFn func(done, total int, r vliwmt.SweepResult)
 	if *progress {
-		opts.Progress = func(done, total int, r vliwmt.SweepResult) {
+		progressFn = func(done, total int, r vliwmt.SweepResult) {
 			status := "ok"
 			if r.Err != nil {
 				status = r.Err.Error()
@@ -249,19 +243,25 @@ func main() {
 	start := time.Now()
 	var results []vliwmt.SweepResult
 	var err error
-	switch {
-	case *addr != "" && jobs != nil:
-		results, err = vliwmt.NewClient(*addr).SweepJobs(ctx, jobs, opts)
-	case *addr != "":
-		results, err = vliwmt.NewClient(*addr).Sweep(ctx, grid, opts)
-	case *fabric != "" && jobs != nil:
-		results, err = vliwmt.NewFabricClient(*fabric).SweepJobs(ctx, jobs, opts)
-	case *fabric != "":
-		results, err = vliwmt.NewFabricClient(*fabric).Sweep(ctx, grid, opts)
-	case jobs != nil:
-		results, err = vliwmt.SweepJobs(ctx, jobs, opts)
-	default:
-		results, err = vliwmt.Sweep(ctx, grid, opts)
+	if *addr != "" {
+		client := vliwmt.NewClient(*addr)
+		opts := &vliwmt.SweepOptions{Workers: *workers, Progress: progressFn}
+		if jobs != nil {
+			results, err = client.SweepJobs(ctx, jobs, opts)
+		} else {
+			results, err = client.Sweep(ctx, grid, opts)
+		}
+	} else {
+		var rs *vliwmt.ResultStore
+		if *store != "" {
+			rs = vliwmt.OpenResultStore(*store)
+		}
+		runner := vliwmt.NewRunner(vliwmt.WithWorkers(*workers), vliwmt.WithProgress(progressFn), vliwmt.WithStore(rs))
+		if jobs != nil {
+			results, err = runner.SweepJobs(ctx, jobs)
+		} else {
+			results, err = runner.Sweep(ctx, grid)
+		}
 	}
 	elapsed := time.Since(start)
 	if err != nil && results == nil {

@@ -59,7 +59,7 @@ func TestWarmStoreZeroSimulations(t *testing.T) {
 	dir := t.TempDir()
 	jobs := table1Jobs(10_000)
 
-	cold := vliwmt.NewRunner(vliwmt.WithResultStore(dir))
+	cold := vliwmt.NewRunner(vliwmt.WithStore(vliwmt.OpenResultStore(dir)))
 	a, err := cold.SweepJobs(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestWarmStoreZeroSimulations(t *testing.T) {
 
 	// A fresh Runner with a fresh compile cache: any simulation would
 	// have to compile first, so zero compiles proves zero simulations.
-	warm := vliwmt.NewRunner(vliwmt.WithResultStore(dir))
+	warm := vliwmt.NewRunner(vliwmt.WithStore(vliwmt.OpenResultStore(dir)))
 	b, err := warm.SweepJobs(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package vliwmt
 import (
 	"fmt"
 
+	"vliwmt/internal/sweep"
 	"vliwmt/internal/wgen"
 )
 
@@ -88,18 +89,12 @@ func GenerateStream(opt GenStreamOptions, seed uint64) ([]GenRequest, error) {
 
 // StreamJobs lowers a generated request stream to sweep jobs on the
 // paper's default machine and budget (instrLimit 0 selects the sweep
-// default of 300k instructions; the timeslice is 1% of the budget,
+// default; the timeslice follows the sweep rule, 1% of the budget
 // floored at 1000 cycles). Each request becomes one job carrying the
 // request's members, scheme and seed, so the whole scenario runs
 // through SweepJobs, a Runner, a Client or the fabric unchanged.
 func StreamJobs(reqs []GenRequest, instrLimit int64) []SweepJob {
-	if instrLimit <= 0 {
-		instrLimit = 300_000
-	}
-	slice := instrLimit / 100
-	if slice < 1000 {
-		slice = 1000
-	}
+	instrLimit, slice := sweep.Budget(instrLimit, 0)
 	jobs := make([]SweepJob, len(reqs))
 	for i, r := range reqs {
 		label := fmt.Sprintf("req%04d/%s", r.Index, r.Mix)

@@ -108,12 +108,6 @@ type StoreStats struct {
 	Puts   int64 `json:"puts"`
 }
 
-// EncodeHealth writes h as versioned JSON.
-func EncodeHealth(w io.Writer, h Health) error {
-	h.Version = Version
-	return json.NewEncoder(w).Encode(h)
-}
-
 // DecodeHealth reads and version-checks a health document.
 func DecodeHealth(r io.Reader) (Health, error) {
 	var h Health

@@ -41,33 +41,27 @@ type Options struct {
 	Progress sweep.ProgressFunc
 }
 
-// DefaultOptions returns the paper's machine with a 300k-instruction
-// budget (adequate for stable IPC on the synthetic kernels). The OS
-// quantum keeps the paper's proportions: the paper slices 1M cycles
-// against a 100M-instruction budget, so scaled-down runs slice
-// InstrLimit/100 cycles (Fig4's single-context configuration must rotate
-// through all four threads many times per run, exactly as the paper's
+// DefaultOptions returns the paper's machine with the default sweep
+// budget and timeslice (sweep.Budget: 300k instructions, adequate for
+// stable IPC on the synthetic kernels, and a quantum in the paper's
+// proportion — Fig4's single-context configuration must rotate through
+// all four threads many times per run, exactly as the paper's
 // multitasking setup does).
 func DefaultOptions() Options {
 	o := Options{
-		Machine:    isa.Default(),
-		ICache:     cache.DefaultConfig(),
-		DCache:     cache.DefaultConfig(),
-		InstrLimit: 300_000,
-		Seed:       1,
+		Machine: isa.Default(),
+		ICache:  cache.DefaultConfig(),
+		DCache:  cache.DefaultConfig(),
+		Seed:    1,
 	}
-	o.Timeslice = o.InstrLimit / 100
+	o.InstrLimit, o.Timeslice = sweep.Budget(0, 0)
 	return o
 }
 
 // Scale adjusts the instruction budget, keeping the timeslice proportional
-// (1% of the budget, as in the paper).
+// (sweep.Budget: 1% of the budget, as in the paper).
 func (o Options) Scale(instrLimit int64) Options {
-	o.InstrLimit = instrLimit
-	o.Timeslice = instrLimit / 100
-	if o.Timeslice < 1000 {
-		o.Timeslice = 1000
-	}
+	o.InstrLimit, o.Timeslice = sweep.Budget(instrLimit, 0)
 	return o
 }
 

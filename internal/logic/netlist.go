@@ -178,12 +178,6 @@ func (b *Builder) Build() *Netlist {
 	return &n
 }
 
-// NumInputs returns the number of primary inputs.
-func (n *Netlist) NumInputs() int { return len(n.inputs) }
-
-// NumOutputs returns the number of outputs.
-func (n *Netlist) NumOutputs() int { return len(n.outputs) }
-
 // NumGates returns the number of live logic gates (inverters/AND/OR
 // reachable from the outputs).
 func (n *Netlist) NumGates() int {

@@ -281,6 +281,21 @@ func Registered() []Scheme {
 	return out
 }
 
+// Effective is the merge-control precedence rule shared by every
+// configuration that can spell a scheme two ways (a typed Scheme and a
+// name): the typed scheme wins; with none, the name resolves through
+// Resolve, and an empty name means no merge (the zero Scheme, nil
+// error). Callers that need a merge stage reject the zero Scheme.
+func Effective(typed Scheme, name string) (Scheme, error) {
+	if !typed.IsZero() {
+		return typed, nil
+	}
+	if name == "" {
+		return Scheme{}, nil
+	}
+	return Resolve(name)
+}
+
 // Resolve turns a scheme-name string into a Scheme. It accepts, in
 // order: the IMT/BMT baselines, names registered with Register, tree
 // expressions in the canonical Tree.String grammar

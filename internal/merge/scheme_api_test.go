@@ -55,6 +55,28 @@ func TestResolveRejectsUnknownNames(t *testing.T) {
 	}
 }
 
+// TestEffectivePrecedence pins the merge-control precedence rule: a
+// typed scheme wins over any name, an empty name without one means no
+// merge, and anything else resolves (or fails) like Resolve.
+func TestEffectivePrecedence(t *testing.T) {
+	typed, err := Resolve("2SC3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Effective(typed, "NOPE"); err != nil || s.Name() != "2SC3" {
+		t.Errorf("typed scheme lost to the name: %q, %v", s.Name(), err)
+	}
+	if s, err := Effective(Scheme{}, ""); err != nil || !s.IsZero() {
+		t.Errorf("empty spelling: %q, %v; want the zero Scheme", s.Name(), err)
+	}
+	if s, err := Effective(Scheme{}, "3SSS"); err != nil || s.Name() != "3SSS" {
+		t.Errorf("name did not resolve: %q, %v", s.Name(), err)
+	}
+	if _, err := Effective(Scheme{}, "NOPE"); err == nil {
+		t.Error("unknown name accepted")
+	}
+}
+
 func TestSchemeSelector(t *testing.T) {
 	s, err := Resolve("2SC3")
 	if err != nil {

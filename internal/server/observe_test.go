@@ -6,16 +6,23 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"vliwmt/internal/api"
+	"vliwmt/internal/resultstore"
+	"vliwmt/internal/telemetry"
 )
 
 // scrapeMetric fetches /metrics and sums every series of the named
@@ -67,7 +74,7 @@ func scrapeMetric(t *testing.T, ts *httptest.Server, name string) float64 {
 // goes from 0 to 1.
 func TestMetricsScrapeColdWarm(t *testing.T) {
 	g := testGrid()
-	_, ts := newTestServer(t, Options{ResultDir: t.TempDir()})
+	_, ts := newTestServer(t, Options{Store: resultstore.Open(t.TempDir())})
 	base := map[string]float64{}
 	for _, name := range []string{
 		"sweep_jobs_completed_total", "store_hits_total",
@@ -298,5 +305,94 @@ func TestJobErrorsSurfaced(t *testing.T) {
 	}
 	if final.Error == "" {
 		t.Error("terminal status carries no joined error string")
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe to write from the sweep and
+// handler goroutines while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// lifecycleCounts tallies the server's lifecycle records in a JSON
+// slog capture, keyed by message. Sweep records count only when their
+// "sweep" attribute is id; "store cleared" carries no sweep attribute.
+func lifecycleCounts(t *testing.T, capture, id string) map[string]int {
+	t.Helper()
+	counts := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(capture), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("slog record %q: %v", line, err)
+		}
+		switch msg, _ := rec["msg"].(string); msg {
+		case "sweep submitted", "sweep cancel requested", "sweep terminal":
+			if rec["sweep"] == id {
+				counts[msg]++
+			}
+		case "store cleared":
+			counts[msg]++
+		}
+	}
+	return counts
+}
+
+// TestLifecycleRecords checks the server's lifecycle logging: submit,
+// cancel and the terminal transition each emit exactly one slog record
+// whose "sweep" attribute is the run ID, and clearing the store emits
+// one record.
+func TestLifecycleRecords(t *testing.T) {
+	old := slog.Default()
+	t.Cleanup(func() { slog.SetDefault(old) })
+	var capture lockedBuffer
+	if _, err := telemetry.ConfigureSlog(&capture, "info", true); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Options{Store: resultstore.Open(t.TempDir())})
+	// Big enough on one worker to still be running when the DELETE
+	// lands.
+	g := api.Grid{InstrLimit: 50_000, Seed: 1}
+	st := submit(t, ts, api.SweepRequest{Grid: &g, Workers: 1}, "")
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sweeps/"+st.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitTerminal(t, ts, st.ID)
+	if _, code := storeStatus(t, ts, http.MethodDelete); code != http.StatusOK {
+		t.Fatalf("DELETE /v1/store: %d", code)
+	}
+
+	want := map[string]int{"sweep submitted": 1, "sweep cancel requested": 1, "sweep terminal": 1, "store cleared": 1}
+	// The terminal record follows the status flip, so it may land just
+	// after waitTerminal returns.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got := lifecycleCounts(t, capture.String(), st.ID)
+		if reflect.DeepEqual(got, want) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("lifecycle records %v, want %v\ncapture:\n%s", got, want, capture.String())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -18,14 +18,20 @@
 // the wire: results are index-ordered, seed-derived and bit-identical
 // to an in-process run at any worker count.
 //
-// With a result directory configured, every sweep also shares one
-// persistent result store: completed jobs are content-addressed on
-// disk, identical submitted jobs (in any grid, from any client) are
-// served from it without simulating, and — because the store outlives
-// the process — a restarted server keeps serving results computed by
-// its predecessor. Cache hits are visible per job (results carry
+// With a result store configured (Options.Store), every sweep also
+// shares one persistent result store: completed jobs are
+// content-addressed on disk, identical submitted jobs (in any grid,
+// from any client) are served from it without simulating, and —
+// because the store outlives the process — a restarted server keeps
+// serving results computed by its predecessor. Cache hits are visible per job (results carry
 // "cached": true in /events and status documents) and per sweep (the
 // status's "cache_hits" count).
+//
+// Sweep lifecycle records — submitted, cancel requested, terminal, and
+// store cleared — go to telemetry.TraceLogger alongside the engine's
+// span events, each sweep record carrying the run ID as its "sweep"
+// attribute. They are dropped until the process calls
+// telemetry.ConfigureSlog.
 package server
 
 import (
@@ -33,13 +39,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"os/signal"
 	"runtime"
 	"runtime/debug"
 	"strconv"
 	"sync"
+	"syscall"
 	"time"
 
 	"vliwmt"
@@ -62,15 +71,12 @@ type Options struct {
 	// Workers is the default per-sweep worker pool size when a request
 	// does not ask for one; 0 selects runtime.NumCPU().
 	Workers int
-	// ResultDir, when set, roots the persistent result store there:
-	// completed jobs are content-addressed on disk, identical submitted
-	// jobs are served without simulating, and the cache survives server
-	// restarts.
-	ResultDir string
-	// Store attaches an existing result-store handle instead of opening
-	// one from ResultDir (it wins when both are set). The fabric
-	// coordinator shares one handle between its probe path and the
-	// server's /v1/store endpoints this way.
+	// Store, when set, is the persistent result store every sweep
+	// shares (see vliwmt.OpenResultStore): completed jobs are
+	// content-addressed on disk, identical submitted jobs are served
+	// without simulating, and the cache survives server restarts. The
+	// fabric coordinator shares one handle between its probe path and
+	// the server's /v1/store endpoints.
 	Store *vliwmt.ResultStore
 	// Execute substitutes the sweep execution strategy; nil selects the
 	// in-process Runner. See Executor.
@@ -78,8 +84,6 @@ type Options struct {
 	// Service names the process in GET /v1/healthz documents; empty
 	// defaults to "vliwserve".
 	Service string
-	// Log receives request and sweep lifecycle lines; nil disables.
-	Log *log.Logger
 	// DisableDebug removes the observability endpoints — GET /metrics
 	// (Prometheus text format) and /debug/pprof/ — from the handler.
 	// They are on by default: both are read-only, and a sweep server
@@ -107,25 +111,52 @@ type Server struct {
 // shutdown (cancelling any in-flight sweeps).
 func New(opts Options) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
+	return &Server{
 		opts:    opts,
 		cache:   vliwmt.NewCompileCache(),
+		store:   opts.Store,
 		started: time.Now(),
 		ctx:     ctx,
 		cancel:  cancel,
 		runs:    map[string]*run{},
 	}
-	switch {
-	case opts.Store != nil:
-		s.store = opts.Store
-	case opts.ResultDir != "":
-		s.store = vliwmt.OpenResultStore(opts.ResultDir)
-	}
-	return s
 }
 
 // Close cancels every in-flight sweep.
 func (s *Server) Close() { s.cancel() }
+
+// Serve serves the Handler on addr until SIGINT or SIGTERM, then
+// cancels in-flight sweeps (so wait-mode handlers return) and drains
+// the listener. listening is called with the bound address once the
+// listener is up.
+func (s *Server) Serve(addr string, listening func(net.Addr)) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	listening(ln.Addr())
+	hs := &http.Server{Handler: s.Handler()}
+	drained := make(chan error, 1)
+	go func() {
+		<-ctx.Done()
+		stop()
+		s.Close()
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := hs.Shutdown(shutdownCtx); err != nil {
+			drained <- fmt.Errorf("shutdown: %w", err)
+		}
+		close(drained)
+	}()
+	// Serve returns ErrServerClosed as soon as Shutdown begins; wait for
+	// the drain to finish before returning.
+	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return <-drained
+}
 
 // Handler returns the HTTP handler serving the v1 API, plus (unless
 // Options.DisableDebug) the observability endpoints: GET /metrics in
@@ -162,12 +193,6 @@ func (s *Server) Handler() http.Handler {
 func handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = telemetry.Default().WritePrometheus(w)
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.opts.Log != nil {
-		s.opts.Log.Printf(format, args...)
-	}
 }
 
 // run is one submitted sweep: lifecycle state, a replayable event log,
@@ -366,7 +391,8 @@ func (s *Server) execute(ctx context.Context, ru *run, jobs []sweep.Job, workers
 	results, err := exec(ctx, jobs, workers, ru.progress)
 	ru.finish(results, err)
 	st := ru.status(false)
-	s.logf("sweep %s: %s (%d/%d jobs, %d from store, %d errors)", ru.id, st.State, st.Done, st.Total, st.CacheHits, st.Errors)
+	telemetry.TraceLogger().Info("sweep terminal", "sweep", ru.id, "state", string(st.State),
+		"done", st.Done, "total", st.Total, "cache_hits", st.CacheHits, "errors", st.Errors)
 }
 
 // runnerExecute is the default Executor: an in-process vliwmt.Runner
@@ -457,7 +483,7 @@ func (s *Server) handleStoreClear(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.logf("store: cleared")
+	telemetry.TraceLogger().Info("store cleared")
 	writeJSON(w, http.StatusOK, api.StoreStatus{Version: api.Version})
 }
 
@@ -543,7 +569,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(base)
 	ru := s.register(len(jobs), cancel)
 	metSweepsSubmitted.Inc()
-	s.logf("sweep %s: submitted, %d jobs (workers=%d, wait=%v)", ru.id, len(jobs), workers, wait)
+	telemetry.TraceLogger().Info("sweep submitted", "sweep", ru.id, "jobs", len(jobs), "workers", workers, "wait", wait)
 
 	if wait {
 		// Server shutdown must still cancel a wait-mode sweep, whose
@@ -592,7 +618,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ru.cancel()
-	s.logf("sweep %s: cancel requested", ru.id)
+	telemetry.TraceLogger().Info("sweep cancel requested", "sweep", ru.id)
 	writeJSON(w, http.StatusAccepted, ru.status(false))
 }
 

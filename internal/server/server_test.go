@@ -6,13 +6,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"vliwmt/internal/api"
+	"vliwmt/internal/resultstore"
 	"vliwmt/internal/sweep"
 )
 
@@ -312,7 +316,7 @@ func TestWaitModeClientDisconnectCancels(t *testing.T) {
 func TestResultPersistenceServesRepeats(t *testing.T) {
 	dir := t.TempDir()
 	g := testGrid()
-	srv, ts := newTestServer(t, Options{ResultDir: dir})
+	srv, ts := newTestServer(t, Options{Store: resultstore.Open(dir)})
 	first := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g}, "").ID)
 	if first.State != api.StateDone {
 		t.Fatalf("first sweep: %+v", first)
@@ -347,7 +351,7 @@ func TestResultPersistenceServesRepeats(t *testing.T) {
 
 	// The store outlives the server: a fresh server on the same
 	// directory — a restart — serves the same sweep without simulating.
-	srv2, ts2 := newTestServer(t, Options{ResultDir: dir})
+	srv2, ts2 := newTestServer(t, Options{Store: resultstore.Open(dir)})
 	third := waitTerminal(t, ts2, submit(t, ts2, api.SweepRequest{Grid: &g}, "").ID)
 	if third.State != api.StateDone || third.CacheHits != third.Total {
 		t.Errorf("restarted server: state %s, %d/%d cache hits; want done and all hits",
@@ -392,7 +396,7 @@ func TestStoreEndpoints(t *testing.T) {
 		t.Errorf("DELETE /v1/store without a store: %d, want 404", code)
 	}
 
-	_, ts = newTestServer(t, Options{ResultDir: t.TempDir()})
+	_, ts = newTestServer(t, Options{Store: resultstore.Open(t.TempDir())})
 	first := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g}, "").ID)
 	if first.State != api.StateDone {
 		t.Fatalf("first sweep: %+v", first)
@@ -517,7 +521,7 @@ func TestBadRequests(t *testing.T) {
 // periodic ping.
 func TestHealthzV1(t *testing.T) {
 	dir := t.TempDir()
-	_, ts := newTestServer(t, Options{ResultDir: dir, Service: "vliwfabric"})
+	_, ts := newTestServer(t, Options{Store: resultstore.Open(dir), Service: "vliwfabric"})
 
 	fetch := func() api.Health {
 		t.Helper()
@@ -581,5 +585,38 @@ func TestHealthzV1(t *testing.T) {
 	}
 	if ph.Store != nil {
 		t.Error("storeless server reports store stats")
+	}
+}
+
+// TestServeDrainsOnSignal checks the process lifecycle the commands
+// share: Serve answers on the bound address, and SIGTERM cancels the
+// server's sweeps and returns cleanly once the listener has drained.
+func TestServeDrainsOnSignal(t *testing.T) {
+	srv := New(Options{})
+	served := make(chan error, 1)
+	go func() {
+		served <- srv.Serve("127.0.0.1:0", func(a net.Addr) {
+			go func() {
+				resp, err := http.Get("http://" + a.String() + "/healthz")
+				if err == nil {
+					resp.Body.Close()
+				}
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("GET /healthz while serving: %v", err)
+				}
+				syscall.Kill(os.Getpid(), syscall.SIGTERM)
+			}()
+		})
+	}()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Serve did not return after SIGTERM")
+	}
+	if srv.ctx.Err() == nil {
+		t.Error("Serve returned without cancelling the server's sweeps")
 	}
 }

@@ -105,12 +105,12 @@ func newSelector(cfg *Config) (*merge.Compiled, error) {
 	if cfg.Contexts == 1 {
 		return nil, nil
 	}
-	sch := cfg.Merge
+	sch, err := merge.Effective(cfg.Merge, cfg.Scheme)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	if sch.IsZero() {
-		var err error
-		if sch, err = merge.Resolve(cfg.Scheme); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
+		return nil, fmt.Errorf("sim: no merge scheme for %d contexts", cfg.Contexts)
 	}
 	sel, err := sch.Selector(cfg.Contexts)
 	if err != nil {

@@ -349,6 +349,7 @@ func TestRunValidation(t *testing.T) {
 		{"no tasks", testConfig(1, ""), nil},
 		{"zero contexts", func() Config { c := testConfig(1, ""); c.Contexts = 0; return c }(), []Task{good}},
 		{"bad scheme", testConfig(4, "XYZ"), []Task{good, good, good, good}},
+		{"no scheme", testConfig(4, ""), []Task{good, good, good, good}},
 		{"port mismatch", testConfig(4, "1S"), []Task{good, good, good, good}},
 		{"zero instr limit", func() Config { c := testConfig(1, ""); c.InstrLimit = 0; return c }(), []Task{good}},
 		{"nil program", testConfig(1, ""), []Task{{Name: "nil"}}},

@@ -12,6 +12,26 @@ import (
 // DefaultSchemes returns the paper's sixteen Figure 9 schemes.
 func DefaultSchemes() []string { return merge.PaperSchemes4() }
 
+// DefaultInstrLimit is the per-thread instruction budget a zero budget
+// selects: the scaled-down default that converges on the synthetic
+// kernels.
+const DefaultInstrLimit int64 = 300_000
+
+// Budget applies the default budget rule to a per-thread instruction
+// budget and OS quantum: a budget <= 0 selects DefaultInstrLimit, and a
+// timeslice <= 0 keeps the paper's proportion — the paper slices 1M
+// cycles against a 100M-instruction budget, so the quantum is 1% of
+// the budget, floored at 1000 cycles.
+func Budget(instr, timeslice int64) (int64, int64) {
+	if instr <= 0 {
+		instr = DefaultInstrLimit
+	}
+	if timeslice <= 0 {
+		timeslice = max(instr/100, 1000)
+	}
+	return instr, timeslice
+}
+
 // Grid declares a factor cross-product of merge schemes and workload
 // mixes. Jobs expands it mix-major (all schemes of the first mix, then
 // the second), matching the paper's Figure 10 layout.
@@ -30,11 +50,10 @@ type Grid struct {
 	Machine isa.Machine
 	ICache  cache.Config
 	DCache  cache.Config
-	// InstrLimit is the per-thread budget (zero: 300k, the scaled-down
-	// default that converges on the synthetic kernels).
+	// InstrLimit is the per-thread budget (zero: DefaultInstrLimit).
 	InstrLimit int64
 	// TimesliceCycles is the OS quantum (zero: InstrLimit/100, floored
-	// at 1000, the paper's proportion).
+	// at 1000, the paper's proportion; see Budget).
 	TimesliceCycles int64
 	// Seed seeds the sweep. Each job derives its own seed from it and
 	// the job index (splitmix64), so results are deterministic at any
@@ -89,17 +108,7 @@ func (g Grid) Jobs() ([]Job, error) {
 	if dcache == (cache.Config{}) {
 		dcache = cache.DefaultConfig()
 	}
-	instr := g.InstrLimit
-	if instr <= 0 {
-		instr = 300_000
-	}
-	slice := g.TimesliceCycles
-	if slice <= 0 {
-		slice = instr / 100
-		if slice < 1000 {
-			slice = 1000
-		}
-	}
+	instr, slice := Budget(g.InstrLimit, g.TimesliceCycles)
 	base := g.Seed
 	if base == 0 {
 		base = 1

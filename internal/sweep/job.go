@@ -59,19 +59,6 @@ type Job struct {
 	Seed uint64
 }
 
-// scheme resolves the job's merge control: the typed Merge field when
-// set, else the Scheme name through merge.Resolve. A zero Scheme with
-// no error means single-context multitasking.
-func (j Job) scheme() (merge.Scheme, error) {
-	if !j.Merge.IsZero() {
-		return j.Merge, nil
-	}
-	if j.Scheme == "" {
-		return merge.Scheme{}, nil
-	}
-	return merge.Resolve(j.Scheme)
-}
-
 // EffectiveContexts returns the hardware context count the job runs
 // with: Contexts when set, else derived from the merge scheme. An
 // unresolvable scheme yields 0; Validate reports the actual error.
@@ -79,7 +66,7 @@ func (j Job) EffectiveContexts() int {
 	if j.Contexts > 0 {
 		return j.Contexts
 	}
-	s, err := j.scheme()
+	s, err := merge.Effective(j.Merge, j.Scheme)
 	if err != nil {
 		return 0
 	}
@@ -141,7 +128,7 @@ func (j Job) Validate() error {
 			return fmt.Errorf("sweep: job %s: %w", j.Describe(), err)
 		}
 	}
-	s, err := j.scheme()
+	s, err := merge.Effective(j.Merge, j.Scheme)
 	if err != nil {
 		return fmt.Errorf("sweep: job %s: scheme %q: %w", j.Describe(), j.Scheme, err)
 	}

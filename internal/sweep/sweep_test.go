@@ -155,6 +155,29 @@ func TestGridSeedModes(t *testing.T) {
 	}
 }
 
+// TestBudgetRule pins the default budget/timeslice rule every driver
+// shares: 300k instructions, a 1% quantum floored at 1000 cycles, and
+// explicit values passed through.
+func TestBudgetRule(t *testing.T) {
+	for _, c := range []struct{ instr, slice, wantInstr, wantSlice int64 }{
+		{0, 0, 300_000, 3_000},
+		{1_000_000, 0, 1_000_000, 10_000},
+		{20_000, 0, 20_000, 1_000},
+		{20_000, 77, 20_000, 77},
+	} {
+		if i, s := Budget(c.instr, c.slice); i != c.wantInstr || s != c.wantSlice {
+			t.Errorf("Budget(%d, %d) = %d, %d; want %d, %d", c.instr, c.slice, i, s, c.wantInstr, c.wantSlice)
+		}
+	}
+	jobs, err := Grid{Schemes: []string{"2SC3"}, Mixes: []string{"LLHH"}}.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j := jobs[0]; j.InstrLimit != DefaultInstrLimit || j.TimesliceCycles != 3_000 {
+		t.Errorf("zero grid budget %d/%d, want %d/3000", j.InstrLimit, j.TimesliceCycles, DefaultInstrLimit)
+	}
+}
+
 // TestSchemeIdentitiesUnderSharedSeed checks that the engine preserves
 // the paper's functional identities (C4 == 3CCC) when jobs share a seed.
 func TestSchemeIdentitiesUnderSharedSeed(t *testing.T) {

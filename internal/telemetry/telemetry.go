@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -409,15 +408,4 @@ func (s Snapshot) Gauge(name string) int64 {
 		}
 	}
 	return total
-}
-
-// CounterNames returns the sorted series keys of every counter, for
-// diagnostics and tests.
-func (s Snapshot) CounterNames() []string {
-	names := make([]string, 0, len(s.Counters))
-	for k := range s.Counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -60,7 +60,6 @@ type Runner struct {
 	workers  int
 	cache    *CompileCache
 	progress func(done, total int, r SweepResult)
-	seed     uint64
 	store    *ResultStore
 }
 
@@ -83,13 +82,6 @@ func WithCache(c *CompileCache) RunnerOption {
 	}
 }
 
-// WithSharedCache attaches the process-wide compile cache, sharing
-// compiled kernels with the package-level functions and every other
-// Runner constructed with this option.
-func WithSharedCache() RunnerOption {
-	return func(r *Runner) { r.cache = sweep.SharedCache() }
-}
-
 // WithProgress installs a progress sink called after each sweep job
 // completes (done jobs, total jobs, the completed result). Calls are
 // serialised by the engine.
@@ -97,32 +89,17 @@ func WithProgress(fn func(done, total int, r SweepResult)) RunnerOption {
 	return func(r *Runner) { r.progress = fn }
 }
 
-// WithSeed sets the Runner's default sweep seed: a Grid submitted with
-// Seed zero inherits it before expansion. Explicit Grid or Job seeds
-// always win.
-func WithSeed(seed uint64) RunnerOption {
-	return func(r *Runner) { r.seed = seed }
-}
-
-// WithResultStore enables result persistence rooted at dir: every
-// successfully simulated job is written to the content-addressed store
-// and any job with an identical configuration — in this sweep, a later
-// sweep, or a later process — is served from disk instead of
-// re-simulating. Lookups are per job, so a sweep that overlaps an
-// earlier one only simulates the jobs that actually changed. Store
-// write failures are silently ignored (persistence is an optimisation,
-// never a correctness dependency); corrupt entries are misses.
-func WithResultStore(dir string) RunnerOption {
-	return func(r *Runner) {
-		if dir != "" {
-			r.store = resultstore.Open(dir)
-		}
-	}
-}
-
-// WithStore attaches an existing result store handle, typically to
-// share one store (and its hit/miss counters) between Runners, as the
-// sweep server does. A nil store is ignored.
+// WithStore enables result persistence on the given store handle
+// (see OpenResultStore): every successfully simulated job is written
+// to the content-addressed store, and any job with an identical
+// configuration — in this sweep, a later sweep, or a later process —
+// is served from disk instead of re-simulating. Lookups are per job,
+// so a sweep that overlaps an earlier one only simulates the jobs that
+// actually changed. Store write failures are silently ignored
+// (persistence is an optimisation, never a correctness dependency);
+// corrupt entries are misses. One handle may be shared between Runners
+// (and its hit/miss counters with them), as the sweep server does. A
+// nil store is ignored.
 func WithStore(s *ResultStore) RunnerOption {
 	return func(r *Runner) {
 		if s != nil {
@@ -171,12 +148,8 @@ func (r *Runner) RunMix(cfg Config, mixName string) (*Result, error) {
 	return sim.Run(cfg, tasks)
 }
 
-// Sweep expands the grid (applying the Runner's default seed when the
-// grid leaves Seed zero) and executes it; see SweepJobs.
+// Sweep expands the grid and executes it; see SweepJobs.
 func (r *Runner) Sweep(ctx context.Context, g Grid) ([]SweepResult, error) {
-	if g.Seed == 0 && r.seed != 0 {
-		g.Seed = r.seed
-	}
 	jobs, err := g.Jobs()
 	if err != nil {
 		return nil, err

@@ -92,28 +92,6 @@ func TestRunnerSharesCompileCacheAcrossCalls(t *testing.T) {
 	}
 }
 
-// TestRunnerSeedPolicy checks WithSeed fills only grids that left Seed
-// zero.
-func TestRunnerSeedPolicy(t *testing.T) {
-	r := vliwmt.NewRunner(vliwmt.WithSeed(99))
-	g := vliwmt.Grid{Schemes: []string{"1S"}, Mixes: []string{"LLHH"}, InstrLimit: 1_000, SharedSeed: true}
-	results, err := r.Sweep(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Job.Seed != 99 {
-		t.Errorf("default seed not applied: %d", results[0].Job.Seed)
-	}
-	g.Seed = 3
-	results, err = r.Sweep(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Job.Seed != 3 {
-		t.Errorf("explicit seed overridden: %d", results[0].Job.Seed)
-	}
-}
-
 // TestRunnerResultStoreServesRepeats checks result persistence across
 // Runner lifetimes: a second Runner pointed at the same store serves
 // the identical sweep from disk — per job, without compiling or
@@ -123,7 +101,7 @@ func TestRunnerResultStoreServesRepeats(t *testing.T) {
 	dir := t.TempDir()
 	g := runnerTestGrid()
 
-	first := vliwmt.NewRunner(vliwmt.WithResultStore(dir))
+	first := vliwmt.NewRunner(vliwmt.WithStore(vliwmt.OpenResultStore(dir)))
 	a, err := first.Sweep(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +117,7 @@ func TestRunnerResultStoreServesRepeats(t *testing.T) {
 
 	var replayed int
 	second := vliwmt.NewRunner(
-		vliwmt.WithResultStore(dir),
+		vliwmt.WithStore(vliwmt.OpenResultStore(dir)),
 		vliwmt.WithProgress(func(done, total int, r vliwmt.SweepResult) { replayed++ }),
 	)
 	b, err := second.Sweep(context.Background(), g)
@@ -180,7 +158,7 @@ func TestRunnerResultStoreServesRepeats(t *testing.T) {
 	// with one extra mix serves the old jobs from disk.
 	g = runnerTestGrid()
 	g.Mixes = append(g.Mixes, "LLLL")
-	third := vliwmt.NewRunner(vliwmt.WithResultStore(dir))
+	third := vliwmt.NewRunner(vliwmt.WithStore(vliwmt.OpenResultStore(dir)))
 	c, err := third.Sweep(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,8 @@
 //     aggregation (Sweep, Grid, SweepResult),
 //   - a long-lived session API (Runner) and an HTTP client (Client) that
 //     submits the same grids to a remote vliwserve instance,
-//   - a persistent, content-addressed result store (WithResultStore)
+//   - a persistent, content-addressed result store (OpenResultStore,
+//     WithStore)
 //     that serves repeated jobs from disk, and a golden conformance
 //     harness (JobKey, SnapshotResults, DiffSnapshots, cmd/vliwdiff,
 //     cmd/vliwgolden) that makes simulator regressions diffable across
@@ -66,21 +67,22 @@
 //
 // A Runner is a long-lived experiment session whose methods (Run,
 // RunMix, Sweep, SweepJobs) share one compile cache, configured with
-// functional options — workers, cache, seed policy, progress sink,
-// result persistence:
+// functional options — workers, cache, progress sink, result
+// persistence:
 //
-//	r := vliwmt.NewRunner(vliwmt.WithWorkers(8), vliwmt.WithSeed(7))
+//	r := vliwmt.NewRunner(vliwmt.WithWorkers(8))
 //	res, err := r.RunMix(cfg, "LLHH")          // compiles LLHH once
 //	res, err = r.RunMix(cfg, "LLHH")           // served from the cache
-//	results, err := r.Sweep(ctx, vliwmt.Grid{})
+//	results, err := r.Sweep(ctx, vliwmt.Grid{Seed: 7})
 //
 // The package-level Run, RunMix, Sweep and SweepJobs functions are thin
 // wrappers over a default Runner attached to the process-wide compile
 // cache; they remain the simplest entry point and their behaviour is
 // unchanged. Construct your own Runner when you want an isolated or
-// explicitly shared cache, a fixed worker budget, a default seed, a
-// progress sink that outlives one call, or on-disk result persistence
-// (WithResultStore).
+// explicitly shared cache, a fixed worker budget, a progress sink that
+// outlives one call, or on-disk result persistence
+// (WithStore(OpenResultStore(dir))). The sweep seed is always the
+// Grid's (Grid.Seed).
 //
 // Sweeps can also run remotely: cmd/vliwserve serves the sweep engine
 // over HTTP (POST /v1/sweeps, status, NDJSON progress events), and
@@ -139,8 +141,9 @@ type Program = program.Program
 
 // defaultRunner backs the package-level Run/RunMix/Sweep functions: a
 // session on the process-wide compile cache, so top-level calls and
-// Runners constructed with WithSharedCache reuse each other's kernels.
-var defaultRunner = NewRunner(WithSharedCache())
+// Runners constructed with WithCache(SharedCompileCache()) reuse each
+// other's kernels.
+var defaultRunner = NewRunner(WithCache(sweep.SharedCache()))
 
 // Run simulates the given software threads under cfg.
 func Run(cfg Config, tasks []Task) (*Result, error) { return defaultRunner.Run(cfg, tasks) }
@@ -281,17 +284,12 @@ type SweepOptions struct {
 	// Progress, when set, is called after each job completes (done jobs,
 	// total jobs, the completed result). Calls are serialised.
 	Progress func(done, total int, r SweepResult)
-	// ResultDir, when set, roots a persistent result store there:
-	// previously completed jobs are served from disk (marked Cached)
-	// and fresh simulations are persisted. See WithResultStore.
-	ResultDir string
 }
 
-// runner builds a one-call Runner on the process-wide compile cache
-// from legacy SweepOptions.
+// runner builds a one-call Runner on the process-wide compile cache.
+// Result persistence is a Runner option (WithStore).
 func (o SweepOptions) runner() *Runner {
-	return NewRunner(WithSharedCache(), WithWorkers(o.Workers), WithProgress(o.Progress),
-		WithResultStore(o.ResultDir))
+	return NewRunner(WithCache(sweep.SharedCache()), WithWorkers(o.Workers), WithProgress(o.Progress))
 }
 
 // Sweep expands the grid into jobs and executes them on a bounded worker
