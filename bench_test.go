@@ -3,8 +3,9 @@
 // metric), micro-benchmarks of the core components, and ablation benches
 // for the design choices called out in DESIGN.md.
 //
-// Full-size regeneration with text output is cmd/paperfigs; these benches
-// make the experiments repeatable under `go test -bench`.
+// Full-size regeneration with text output is `vliwsweep -figure`; these
+// benches run the same job lists through a Runner and the same reducers,
+// making the experiments repeatable under `go test -bench`.
 package vliwmt_test
 
 import (
@@ -30,12 +31,24 @@ func benchOpts() experiments.Options {
 	return experiments.DefaultOptions().Scale(30_000)
 }
 
+// sweepFigure runs one figure's job list through a Runner on the
+// process-wide compile cache and returns the index-ordered results its
+// reducer takes.
+func sweepFigure(b *testing.B, jobs []vliwmt.SweepJob) []vliwmt.SweepResult {
+	b.Helper()
+	rs, err := vliwmt.NewRunner(vliwmt.WithCache(vliwmt.SharedCompileCache())).SweepJobs(context.Background(), jobs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rs
+}
+
 // BenchmarkTable1 regenerates Table 1 (per-benchmark IPCr/IPCp) and
 // reports the measured average IPCp across the twelve benchmarks.
 func BenchmarkTable1(b *testing.B) {
 	var avg float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(benchOpts())
+		rows, err := experiments.Table1(sweepFigure(b, experiments.Table1Jobs(benchOpts())))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,7 +66,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkFigure4(b *testing.B) {
 	var adv float64
 	for i := 0; i < b.N; i++ {
-		f, err := experiments.Fig4(benchOpts())
+		f, err := experiments.Fig4(sweepFigure(b, experiments.Fig4Jobs(benchOpts())))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,7 +96,7 @@ func BenchmarkFigure5(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	var adv float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig6(benchOpts())
+		rows, err := experiments.Fig6(sweepFigure(b, experiments.Fig6Jobs(benchOpts())))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +128,7 @@ func BenchmarkFigure9(b *testing.B) {
 func BenchmarkFigure10(b *testing.B) {
 	var ipc float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig10(benchOpts())
+		rows, err := experiments.Fig10(sweepFigure(b, experiments.Fig10Jobs(benchOpts())))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +144,7 @@ func BenchmarkFigure11And12(b *testing.B) {
 	var frac float64
 	for i := 0; i < b.N; i++ {
 		opts := benchOpts()
-		rows, err := experiments.Fig10(opts)
+		rows, err := experiments.Fig10(sweepFigure(b, experiments.Fig10Jobs(opts)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -694,7 +707,8 @@ func BenchmarkAblationBaselines(b *testing.B) {
 func BenchmarkExtension8Threads(b *testing.B) {
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Scaling8(benchOpts())
+		opts := benchOpts()
+		rows, err := experiments.Scaling8(opts.Machine, sweepFigure(b, experiments.Scaling8Jobs(opts)))
 		if err != nil {
 			b.Fatal(err)
 		}

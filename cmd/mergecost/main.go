@@ -1,75 +1,35 @@
-// Command mergecost reports the gate-level hardware cost of thread merge
-// controls: per scheme (the paper's Figure 9) and as a function of thread
-// count (Figure 5).
+// Command mergecost reports the gate-level hardware cost of one thread
+// merge control: a paper scheme or any custom merge tree. The costs of
+// all sixteen schemes (Figure 9) and their scaling with thread count
+// (Figure 5) are figures: vliwsweep -figure fig9,fig5.
 //
 // Usage:
 //
-//	mergecost                  # all sixteen schemes
 //	mergecost -scheme 2SC3
 //	mergecost -scheme 'S(C(T0,T1,T2),T3)'   # any custom merge tree
-//	mergecost -scaling 2-8     # CSMT SL / CSMT PL / SMT curves
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"vliwmt"
-	"vliwmt/internal/report"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mergecost: ")
-	var (
-		scheme  = flag.String("scheme", "", "single scheme to cost")
-		scaling = flag.String("scaling", "", "thread range for control scaling, e.g. 2-8")
-	)
+	scheme := flag.String("scheme", "", "scheme to cost: a paper scheme name or a tree expression")
 	flag.Parse()
-	m := vliwmt.DefaultMachine()
-
-	switch {
-	case *scheme != "":
-		sc, err := vliwmt.Cost(m, *scheme)
-		if err != nil {
-			log.Fatal(err)
-		}
-		desc, _ := vliwmt.DescribeScheme(*scheme)
-		fmt.Printf("%s = %s\ntransistors: %d\ngate delays: %d\n", sc.Scheme, desc, sc.Transistors, sc.GateDelays)
-
-	case *scaling != "":
-		var lo, hi int
-		if _, err := fmt.Sscanf(*scaling, "%d-%d", &lo, &hi); err != nil {
-			log.Fatalf("bad -scaling %q: %v", *scaling, err)
-		}
-		pts, err := vliwmt.CostScaling(m, lo, hi)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var rows [][]string
-		for _, p := range pts {
-			rows = append(rows, []string{
-				fmt.Sprint(p.Threads),
-				fmt.Sprint(p.CSMTSerial.Transistors), fmt.Sprint(p.CSMTSerial.GateDelays),
-				fmt.Sprint(p.CSMTParallel.Transistors), fmt.Sprint(p.CSMTParallel.GateDelays),
-				fmt.Sprint(p.SMT.Transistors), fmt.Sprint(p.SMT.GateDelays),
-			})
-		}
-		report.Table(os.Stdout,
-			[]string{"threads", "csmt-sl tr", "delays", "csmt-pl tr", "delays", "smt tr", "delays"}, rows)
-
-	default:
-		var rows [][]string
-		for _, s := range vliwmt.Schemes() {
-			sc, err := vliwmt.Cost(m, s)
-			if err != nil {
-				log.Fatal(err)
-			}
-			desc, _ := vliwmt.DescribeScheme(s)
-			rows = append(rows, []string{s, fmt.Sprint(sc.Transistors), fmt.Sprint(sc.GateDelays), desc})
-		}
-		report.Table(os.Stdout, []string{"scheme", "transistors", "gate delays", "structure"}, rows)
+	if *scheme == "" {
+		log.Fatal("-scheme is required (for every scheme's cost: vliwsweep -figure fig9)")
 	}
+	m := vliwmt.DefaultMachine()
+	sc, err := vliwmt.Cost(m, *scheme)
+	if err != nil {
+		log.Fatal(err)
+	}
+	desc, _ := vliwmt.DescribeScheme(*scheme)
+	fmt.Printf("%s = %s\ntransistors: %d\ngate delays: %d\n", sc.Scheme, desc, sc.Transistors, sc.GateDelays)
 }

@@ -33,7 +33,7 @@ func main() {
 		benches  = flag.String("bench", "", "comma-separated benchmark list (alternative to -mix)")
 		scheme   = flag.String("scheme", "2SC3", "merging scheme: a name (see -list), IMT/BMT, or a tree expression like 'C(S(T0,T1),T2,T3)'")
 		contexts = flag.Int("contexts", 4, "hardware thread contexts")
-		instrs   = flag.Int64("instrs", 1_000_000, "per-thread instruction budget")
+		instrs   = flag.Int64("instrs", sweep.DefaultInstrLimit, "per-thread instruction budget")
 		slice    = flag.Int64("timeslice", 0, "OS timeslice in cycles (0: instrs/100, floored at 1000)")
 		perfect  = flag.Bool("perfect", false, "perfect memory (no caches)")
 		fixed    = flag.Bool("fixed-priority", false, "disable round-robin priority rotation")

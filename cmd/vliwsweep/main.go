@@ -13,6 +13,8 @@
 //	vliwsweep -addr localhost:8080 -mixes LLHH # same grid, remote vliwserve or vliwfabric
 //	vliwsweep -stats -mixes LLHH               # lifecycle summary on stderr
 //	vliwsweep -log-level debug -log-json       # structured sweep tracing
+//	vliwsweep -figure all                      # the paper's tables and figures
+//	vliwsweep -figure fig10,fig11 -store results/
 //
 // Every job derives its seed from -seed and its index, so output is
 // bit-identical at any -workers count; -sharedseed gives every job the
@@ -25,6 +27,14 @@
 // the wire, so the output is identical modulo the wall-clock fields
 // (elapsed_sec / time).
 //
+// With -figure, the job set is the union of the named tables and
+// figures (table1, table2, fig4, fig5, fig6, fig9, fig10, fig11, fig12,
+// ext8, or all), deduped so a job shared by several figures runs once;
+// every job carries -seed verbatim, which the paper's scheme identities
+// (C4 vs 3CCC) need. -format text renders the figures; json and csv
+// emit the per-job rows. Store, -addr, -stats and the budget flags
+// apply exactly as for a grid.
+//
 // With -store, completed jobs persist in a content-addressed store at
 // the given directory and later sweeps serve identical jobs from disk
 // instead of re-simulating them — a repeated sweep against a warm
@@ -36,6 +46,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,6 +58,7 @@ import (
 
 	"vliwmt"
 	"vliwmt/internal/api"
+	"vliwmt/internal/experiments"
 	"vliwmt/internal/merge"
 	"vliwmt/internal/profiling"
 	"vliwmt/internal/report"
@@ -73,7 +85,7 @@ type row struct {
 // exactly like fresh ones (the store replays the original elapsed
 // time), so warm and cold sweeps emit identical rows.
 func rowsFrom(results []vliwmt.SweepResult, warn func(error)) []row {
-	var rows []row
+	rows := make([]row, 0, len(results)) // [] rather than null in -format json
 	for _, r := range results {
 		if r.Err != nil {
 			continue
@@ -114,30 +126,50 @@ func writeCSV(w io.Writer, rows []row) error {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vliwsweep: ")
+	// Ctrl-C cancels the sweep; completed jobs are still reported. Once
+	// cancelled, stop() restores default signal handling so a second
+	// Ctrl-C kills the process instead of being swallowed while
+	// in-flight jobs drain.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	go func() {
+		<-ctx.Done()
+		stop()
+	}()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args and runs one sweep, writing its output to w;
+// progress, statistics and warnings go to stderr.
+func run(ctx context.Context, args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("vliwsweep", flag.ExitOnError)
 	var (
-		addr       = flag.String("addr", "", "submit the grid to a remote vliwserve or vliwfabric at this address instead of running in-process")
-		jobsFile   = flag.String("jobs", "", "read a sweep-request JSON document (a grid or an explicit job set, e.g. emitted by vliwgen) from this file, - for stdin; replaces -schemes/-mixes")
-		schemes    = flag.String("schemes", "", "comma-separated merge schemes — names or tree expressions like C(S(T0,T1),T2,T3) (default: the paper's sixteen)")
-		mixes      = flag.String("mixes", "", "comma-separated Table 2 mixes (default: all nine)")
-		workers    = flag.Int("workers", 0, "worker pool size (0: runtime.NumCPU())")
-		seed       = flag.Uint64("seed", 1, "sweep seed; per-job seeds derive from it")
-		instr      = flag.Int64("instr", sweep.DefaultInstrLimit, "per-thread instruction budget")
-		timeslice  = flag.Int64("timeslice", 0, "OS quantum in cycles (0: budget/100)")
-		sharedSeed = flag.Bool("sharedseed", false, "give every job the sweep seed verbatim")
-		store      = flag.String("store", "", "persistent result store directory: serve repeated jobs from disk, persist fresh ones")
-		format     = flag.String("format", "text", "output format: text, json or csv")
-		progress   = flag.Bool("progress", false, "report per-job progress on stderr")
-		stats      = flag.Bool("stats", false, "print the sweep lifecycle summary (jobs, store hit ratio, p50/p99 job latency, jobs/s) on stderr")
-		logLevel   = flag.String("log-level", "", "enable structured sweep tracing on stderr at this level: debug, info, warn or error (empty: off; debug adds a line per job)")
-		logJSON    = flag.Bool("log-json", false, "emit structured traces as JSON lines instead of text (implies -log-level info)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile taken after the sweep to this file")
+		addr       = fs.String("addr", "", "submit the grid to a remote vliwserve or vliwfabric at this address instead of running in-process")
+		jobsFile   = fs.String("jobs", "", "read a sweep-request JSON document (a grid or an explicit job set, e.g. emitted by vliwgen) from this file, - for stdin; replaces -schemes/-mixes")
+		figure     = fs.String("figure", "", "run the paper's tables and figures as one deduped job set: all, or a comma-separated list of "+strings.Join(experiments.FigureNames(), ",")+"; replaces -schemes/-mixes")
+		schemes    = fs.String("schemes", "", "comma-separated merge schemes — names or tree expressions like C(S(T0,T1),T2,T3) (default: the paper's sixteen)")
+		mixes      = fs.String("mixes", "", "comma-separated Table 2 mixes (default: all nine)")
+		workers    = fs.Int("workers", 0, "worker pool size (0: runtime.NumCPU())")
+		seed       = fs.Uint64("seed", 1, "sweep seed; per-job seeds derive from it")
+		instr      = fs.Int64("instr", sweep.DefaultInstrLimit, "per-thread instruction budget")
+		timeslice  = fs.Int64("timeslice", 0, "OS quantum in cycles (0: budget/100)")
+		sharedSeed = fs.Bool("sharedseed", false, "give every job the sweep seed verbatim")
+		store      = fs.String("store", "", "persistent result store directory: serve repeated jobs from disk, persist fresh ones")
+		format     = fs.String("format", "text", "output format: text, json or csv")
+		progress   = fs.Bool("progress", false, "report per-job progress on stderr")
+		stats      = fs.Bool("stats", false, "print the sweep lifecycle summary (jobs, store hit ratio, p50/p99 job latency, jobs/s) on stderr")
+		logLevel   = fs.String("log-level", "", "enable structured sweep tracing on stderr at this level: debug, info, warn or error (empty: off; debug adds a line per job)")
+		logJSON    = fs.Bool("log-json", false, "emit structured traces as JSON lines instead of text (implies -log-level info)")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	switch *format {
 	case "text", "json", "csv":
 	default:
-		log.Fatalf("unknown -format %q (want text, json or csv)", *format)
+		return fmt.Errorf("unknown -format %q (want text, json or csv)", *format)
 	}
 	if *logLevel != "" || *logJSON {
 		lv := *logLevel
@@ -145,31 +177,28 @@ func main() {
 			lv = "info"
 		}
 		if _, err := telemetry.ConfigureSlog(os.Stderr, lv, *logJSON); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if *addr != "" && *store != "" {
 		// The remote server owns its own store (vliwserve -results,
 		// vliwfabric -results); silently ignoring -store would look
 		// like caching that never happens.
-		log.Fatal("-store applies to in-process sweeps; with -addr, configure the store on the server (-results)")
+		return errors.New("-store applies to in-process sweeps; with -addr, configure the store on the server (-results)")
 	}
-	// Profiling starts only after flag validation, and fatal paths go
-	// through fatal() below so an error mid-sweep still flushes the
-	// profiles instead of leaving a truncated cpu.prof.
-	stopProf, perr := profiling.Start(*cpuprofile, *memprofile)
-	if perr != nil {
-		log.Fatal(perr)
+	if *figure != "" && (*jobsFile != "" || *schemes != "" || *mixes != "" || *sharedSeed) {
+		return errors.New("-figure carries its own job set; drop -jobs/-schemes/-mixes/-sharedseed")
 	}
-	fatal := func(v ...any) {
-		if err := stopProf(); err != nil {
-			log.Print(err)
-		}
-		log.Fatal(v...)
+	// Profiling starts only after flag validation; every later error
+	// returns through the deferred stop, so the profiles are flushed
+	// instead of leaving a truncated cpu.prof.
+	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		return err
 	}
 	defer func() {
-		if err := stopProf(); err != nil {
-			log.Print(err)
+		if perr := stopProf(); perr != nil {
+			log.Print(perr)
 		}
 	}()
 
@@ -187,35 +216,47 @@ func main() {
 	var jobs []vliwmt.SweepJob
 	if *jobsFile != "" {
 		if *schemes != "" || *mixes != "" {
-			fatal("-jobs carries its own grid or job set; drop -schemes/-mixes")
+			return errors.New("-jobs carries its own grid or job set; drop -schemes/-mixes")
 		}
 		in := os.Stdin
 		if *jobsFile != "-" {
 			f, err := os.Open(*jobsFile)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			defer f.Close()
 			in = f
 		}
 		req, err := api.DecodeSweepRequest(in)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		switch {
 		case len(req.Jobs) > 0:
 			for _, wj := range req.Jobs {
 				j, err := wj.Sweep()
 				if err != nil {
-					fatal(err)
+					return err
 				}
 				jobs = append(jobs, j)
 			}
 		case req.Grid != nil:
 			grid = req.Grid.Sweep()
 		default:
-			fatal("-jobs document carries neither a grid nor a job set")
+			return errors.New("-jobs document carries neither a grid nor a job set")
 		}
+	}
+	// -figure is the other source of an explicit job set: the selected
+	// figures' jobs, deduped, at the flags' budget and seed.
+	var plan *experiments.Plan
+	if *figure != "" {
+		o := experiments.DefaultOptions()
+		o.InstrLimit, o.Timeslice = sweep.Budget(*instr, *timeslice)
+		o.Seed = *seed
+		if plan, err = experiments.NewPlan(*figure, o); err != nil {
+			return err
+		}
+		jobs = plan.Jobs
 	}
 	var progressFn func(done, total int, r vliwmt.SweepResult)
 	if *progress {
@@ -229,21 +270,12 @@ func main() {
 		}
 	}
 
-	// Ctrl-C cancels the sweep; completed jobs are still reported. Once
-	// cancelled, stop() restores default signal handling so a second
-	// Ctrl-C kills the process instead of being swallowed while
-	// in-flight jobs drain.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop()
-	}()
-
 	start := time.Now()
 	var results []vliwmt.SweepResult
-	var err error
-	if *addr != "" {
+	switch {
+	case plan != nil && len(jobs) == 0:
+		// Cost-only figures simulate nothing.
+	case *addr != "":
 		client := vliwmt.NewClient(*addr)
 		opts := &vliwmt.SweepOptions{Workers: *workers, Progress: progressFn}
 		if jobs != nil {
@@ -251,7 +283,7 @@ func main() {
 		} else {
 			results, err = client.Sweep(ctx, grid, opts)
 		}
-	} else {
+	default:
 		var rs *vliwmt.ResultStore
 		if *store != "" {
 			rs = vliwmt.OpenResultStore(*store)
@@ -265,22 +297,27 @@ func main() {
 	}
 	elapsed := time.Since(start)
 	if err != nil && results == nil {
-		fatal(err)
+		return err
 	}
 
 	rows := rowsFrom(results, func(err error) { log.Print(err) })
 
-	w := os.Stdout
 	switch *format {
 	case "json":
 		if jerr := report.JSON(w, rows); jerr != nil {
-			fatal(jerr)
+			return jerr
 		}
 	case "csv":
 		if cerr := writeCSV(w, rows); cerr != nil {
-			fatal(cerr)
+			return cerr
 		}
 	case "text":
+		if plan != nil {
+			if err == nil {
+				err = plan.Render(w, results)
+			}
+			break
+		}
 		var tr [][]string
 		for _, r := range rows {
 			tr = append(tr, []string{r.Mix, r.Scheme, fmt.Sprint(r.Contexts),
@@ -297,7 +334,5 @@ func main() {
 		// carry the replayed original elapsed times).
 		fmt.Fprintln(os.Stderr, vliwmt.SummarizeSweep(results, elapsed))
 	}
-	if err != nil {
-		fatal(err)
-	}
+	return err
 }

@@ -3,9 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"net/http/httptest"
+	"os"
 	"testing"
 
 	"vliwmt"
+	"vliwmt/internal/server"
+	"vliwmt/internal/telemetry"
 )
 
 // table1Jobs builds the paper's Table 1 grid as an explicit job set:
@@ -89,5 +93,76 @@ func TestWarmStoreZeroSimulations(t *testing.T) {
 	}
 	if warmCSV := csvOf(t, b); !bytes.Equal(coldCSV, warmCSV) {
 		t.Errorf("warm CSV differs from cold CSV:\ncold:\n%s\nwarm:\n%s", coldCSV, warmCSV)
+	}
+}
+
+// figureGolden is the paper's figures at a 20k-instruction budget and
+// seed 1, as committed before the figures moved onto the sweep front
+// end; every path that renders them must reproduce it byte for byte.
+const figureGolden = "../../testdata/golden/paperfigs.txt"
+
+var figureArgs = []string{"-figure", "all", "-instr", "20000", "-seed", "1"}
+
+// runCLI runs vliwsweep in-process with args and returns its stdout.
+func runCLI(t *testing.T, args ...string) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(context.Background(), args, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// simRuns reads the process-wide count of completed simulations.
+func simRuns() int64 { return telemetry.Default().Snapshot().Counter("sim_runs_total") }
+
+// TestFigureGolden renders -figure all in-process, on one worker and
+// through a vliwserve, and compares each stdout with the golden file.
+func TestFigureGolden(t *testing.T) {
+	want, err := os.ReadFile(figureGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	for _, tc := range []struct {
+		name  string
+		extra []string
+	}{
+		{"in-process", nil},
+		{"workers=1", []string{"-workers", "1"}},
+		{"addr", []string{"-addr", ts.URL}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && tc.extra != nil {
+				t.Skip("one 182-job figure set is enough in -short")
+			}
+			got := runCLI(t, append(tc.extra, figureArgs...)...)
+			if !bytes.Equal(got, want) {
+				t.Errorf("-figure all %v differs from %s:\n%s", tc.extra, figureGolden, got)
+			}
+		})
+	}
+}
+
+// TestFigureWarmStore runs -figure all twice against one fresh store:
+// the cold run simulates each of the 182 distinct jobs exactly once,
+// the warm run simulates none, and both print the same figures.
+func TestFigureWarmStore(t *testing.T) {
+	args := append([]string{"-store", t.TempDir()}, figureArgs...)
+	before := simRuns()
+	cold := runCLI(t, args...)
+	if n := simRuns() - before; n != 182 {
+		t.Errorf("cold run simulated %d jobs, want 182", n)
+	}
+	before = simRuns()
+	warm := runCLI(t, args...)
+	if n := simRuns() - before; n != 0 {
+		t.Errorf("warm run simulated %d jobs, want 0", n)
+	}
+	if !bytes.Equal(cold, warm) {
+		t.Errorf("warm stdout differs from cold:\ncold:\n%s\nwarm:\n%s", cold, warm)
 	}
 }

@@ -1,23 +1,25 @@
 // Package experiments reproduces each table and figure of the paper's
-// evaluation: one driver per experiment, shared by cmd/paperfigs (full-size
-// runs), the root-level benchmark harness and the test suite (scaled-down
-// runs).
+// evaluation. Every simulated driver is split in two: a job list
+// (Table1Jobs, Fig4Jobs, Fig6Jobs, Fig10Jobs, Scaling8Jobs) and a pure
+// reducer over that list's index-ordered sweep results (Table1, Fig4,
+// Fig6, Fig10, Scaling8). The cost-only figures (Fig5, Fig9, Tradeoffs)
+// need no simulation.
 //
-// Every simulation-based driver expands its measurements into a job set
-// and executes it on the internal/sweep worker pool, so independent runs
-// use all available cores while results stay bit-identical to a serial
-// sweep: jobs are seeded identically and aggregated by job index, not by
-// completion order.
+// The package runs nothing itself. NewPlan merges the selected
+// figures' job lists into one job set, deduped by result-store key;
+// any sweep front end executes it (vliwsweep -figure runs it
+// in-process, against a result store or on a remote vliwserve or
+// vliwfabric), and Plan.Render reduces the results and renders the
+// figures. Results are aggregated by job index, not completion order,
+// so the figures are bit-identical at any worker count.
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"vliwmt/internal/cache"
 	"vliwmt/internal/cost"
 	"vliwmt/internal/isa"
-	"vliwmt/internal/merge"
 	"vliwmt/internal/sweep"
 	"vliwmt/internal/workload"
 )
@@ -34,11 +36,6 @@ type Options struct {
 	// Timeslice is the OS scheduling quantum in cycles.
 	Timeslice int64
 	Seed      uint64
-	// Workers bounds the sweep-engine worker pool; 0 selects
-	// runtime.NumCPU(). Results are identical at any worker count.
-	Workers int
-	// Progress, when set, observes every completed simulation job.
-	Progress sweep.ProgressFunc
 }
 
 // DefaultOptions returns the paper's machine with the default sweep
@@ -65,24 +62,15 @@ func (o Options) Scale(instrLimit int64) Options {
 	return o
 }
 
-// engine builds a sweep engine for one driver call. All drivers share
-// the process-wide compile cache, so a paperfigs -all run compiles each
-// kernel once, not once per figure.
-func (o Options) engine() *sweep.Engine {
-	e := sweep.New(o.Workers)
-	e.SetCache(sweep.SharedCache())
-	e.SetProgress(o.Progress)
-	return e
-}
-
-// job expresses one measurement as a sweep job. Every job of a driver
-// shares the options seed — exactly the serial drivers' behaviour, and
-// required for the paper's scheme identities (C4 vs 3CCC) to hold.
-func (o Options) job(label, scheme string, contexts int, perfect bool, benches ...string) sweep.Job {
+// job expresses one measurement as a sweep job. Every job of a plan
+// carries the options seed verbatim — required for the paper's scheme
+// identities (C4 vs 3CCC) to hold — and leaves Contexts to the scheme
+// (one context for the single-context baseline, the merge tree's ports
+// otherwise).
+func (o Options) job(label, scheme string, perfect bool, benches ...string) sweep.Job {
 	return sweep.Job{
 		Label:           label,
 		Scheme:          scheme,
-		Contexts:        contexts,
 		Benchmarks:      benches,
 		Machine:         o.Machine,
 		ICache:          o.ICache,
@@ -94,22 +82,21 @@ func (o Options) job(label, scheme string, contexts int, perfect bool, benches .
 	}
 }
 
-// run executes the job set and returns per-job IPCs in submission order,
-// converting timeouts and job failures into errors.
-func (o Options) run(jobs []sweep.Job) ([]float64, error) {
-	results, err := o.engine().Run(context.Background(), jobs)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
+// ipcs converts a driver's index-ordered results to IPCs, turning a
+// short result set and failed jobs into errors.
+func ipcs(rs []sweep.Result, want int) ([]float64, error) {
+	if len(rs) != want {
+		return nil, fmt.Errorf("experiments: %d results, want %d", len(rs), want)
 	}
-	ipcs := make([]float64, len(results))
-	for i, r := range results {
+	out := make([]float64, len(rs))
+	for i, r := range rs {
 		ipc, err := r.IPC()
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		ipcs[i] = ipc
+		out[i] = ipc
 	}
-	return ipcs, nil
+	return out, nil
 }
 
 // Table1Row is one benchmark's measured single-thread behaviour next to
@@ -123,17 +110,22 @@ type Table1Row struct {
 	PaperIPCp   float64
 }
 
-// Table1 measures IPCr (real caches) and IPCp (perfect memory) for every
-// benchmark on a single-thread processor.
-func Table1(opts Options) ([]Table1Row, error) {
-	benches := workload.Benchmarks()
+// Table1Jobs measures IPCr (real caches) and IPCp (perfect memory) for
+// every benchmark on a single-thread processor.
+func Table1Jobs(o Options) []sweep.Job {
 	var jobs []sweep.Job
-	for _, b := range benches {
+	for _, b := range workload.Benchmarks() {
 		jobs = append(jobs,
-			opts.job(b.Name+"/real", "", 1, false, b.Name),
-			opts.job(b.Name+"/perfect", "", 1, true, b.Name))
+			o.job(b.Name+"/real", "", false, b.Name),
+			o.job(b.Name+"/perfect", "", true, b.Name))
 	}
-	ipcs, err := opts.run(jobs)
+	return jobs
+}
+
+// Table1 reduces Table1Jobs' index-ordered results to Table 1.
+func Table1(rs []sweep.Result) ([]Table1Row, error) {
+	benches := workload.Benchmarks()
+	ipcs, err := ipcs(rs, 2*len(benches))
 	if err != nil {
 		return nil, err
 	}
@@ -148,14 +140,14 @@ func Table1(opts Options) ([]Table1Row, error) {
 	return rows, nil
 }
 
-// mixJob expresses "run this Table 2 mix under this scheme and context
-// count" as a sweep job.
-func (o Options) mixJob(mix workload.Mix, contexts int, scheme string) sweep.Job {
+// mixJob expresses "run this Table 2 mix under this scheme" as a sweep
+// job; the empty scheme is the single-context baseline.
+func (o Options) mixJob(mix workload.Mix, scheme string) sweep.Job {
 	label := mix.Name + "/" + scheme
 	if scheme == "" {
 		label = mix.Name + "/ST"
 	}
-	return o.job(label, scheme, contexts, false, mix.Members[:]...)
+	return o.job(label, scheme, false, mix.Members[:]...)
 }
 
 // Figure4 holds the average SMT IPC at one, two and four hardware threads
@@ -166,17 +158,20 @@ type Figure4 struct {
 	FourThread   float64
 }
 
-// Fig4 computes Figure 4.
-func Fig4(opts Options) (Figure4, error) {
-	mixes := workload.Mixes()
+// Fig4Jobs runs every Table 2 mix single-threaded, on 2-thread SMT
+// (1S) and on 4-thread SMT (3SSS).
+func Fig4Jobs(o Options) []sweep.Job {
 	var jobs []sweep.Job
-	for _, mix := range mixes {
-		jobs = append(jobs,
-			opts.mixJob(mix, 1, ""),
-			opts.mixJob(mix, 2, "1S"),
-			opts.mixJob(mix, 4, "3SSS"))
+	for _, mix := range workload.Mixes() {
+		jobs = append(jobs, o.mixJob(mix, ""), o.mixJob(mix, "1S"), o.mixJob(mix, "3SSS"))
 	}
-	ipcs, err := opts.run(jobs)
+	return jobs
+}
+
+// Fig4 reduces Fig4Jobs' index-ordered results to Figure 4.
+func Fig4(rs []sweep.Result) (Figure4, error) {
+	mixes := workload.Mixes()
+	ipcs, err := ipcs(rs, 3*len(mixes))
 	if err != nil {
 		return Figure4{}, err
 	}
@@ -205,17 +200,21 @@ type Figure6Row struct {
 	AdvantagePc float64
 }
 
-// Fig6 computes Figure 6: the 4-thread SMT (3SSS) advantage over 4-thread
-// CSMT (3CCC) per workload, plus the average as the final row.
-func Fig6(opts Options) ([]Figure6Row, error) {
-	mixes := workload.Mixes()
+// Fig6Jobs runs every Table 2 mix on 4-thread SMT (3SSS) and 4-thread
+// CSMT (3CCC).
+func Fig6Jobs(o Options) []sweep.Job {
 	var jobs []sweep.Job
-	for _, mix := range mixes {
-		jobs = append(jobs,
-			opts.mixJob(mix, 4, "3SSS"),
-			opts.mixJob(mix, 4, "3CCC"))
+	for _, mix := range workload.Mixes() {
+		jobs = append(jobs, o.mixJob(mix, "3SSS"), o.mixJob(mix, "3CCC"))
 	}
-	ipcs, err := opts.run(jobs)
+	return jobs
+}
+
+// Fig6 reduces Fig6Jobs' index-ordered results to Figure 6: the SMT
+// advantage over CSMT per workload, plus the average as the final row.
+func Fig6(rs []sweep.Result) ([]Figure6Row, error) {
+	mixes := workload.Mixes()
+	ipcs, err := ipcs(rs, 2*len(mixes))
 	if err != nil {
 		return nil, err
 	}
@@ -252,23 +251,24 @@ func Fig10Schemes() []string {
 	}
 }
 
-// Fig10 simulates every scheme on every workload — the repository's
-// largest sweep (16 schemes x 9 mixes). The final row holds the
-// per-scheme averages ("Average").
-func Fig10(opts Options) ([]Figure10Row, error) {
-	mixes := workload.Mixes()
-	schemes := Fig10Schemes()
+// Fig10Jobs runs every scheme on every workload — the paper's largest
+// sweep (16 schemes x 9 mixes), mix-major.
+func Fig10Jobs(o Options) []sweep.Job {
 	var jobs []sweep.Job
-	for _, mix := range mixes {
-		for _, scheme := range schemes {
-			ports, err := merge.Ports(scheme)
-			if err != nil {
-				return nil, err
-			}
-			jobs = append(jobs, opts.mixJob(mix, ports, scheme))
+	for _, mix := range workload.Mixes() {
+		for _, scheme := range Fig10Schemes() {
+			jobs = append(jobs, o.mixJob(mix, scheme))
 		}
 	}
-	ipcs, err := opts.run(jobs)
+	return jobs
+}
+
+// Fig10 reduces Fig10Jobs' index-ordered results to Figure 10. The
+// final row holds the per-scheme averages ("Average").
+func Fig10(rs []sweep.Result) ([]Figure10Row, error) {
+	mixes := workload.Mixes()
+	schemes := Fig10Schemes()
+	ipcs, err := ipcs(rs, len(mixes)*len(schemes))
 	if err != nil {
 		return nil, err
 	}

@@ -1,20 +1,35 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"vliwmt"
 	"vliwmt/internal/isa"
+	"vliwmt/internal/sweep"
 )
 
 func testOpts() Options {
 	return DefaultOptions().Scale(60_000)
 }
 
+// sweepJobs runs a driver's job list through a Runner on workers
+// workers (0: all cores) and returns its index-ordered results.
+func sweepJobs(t *testing.T, jobs []sweep.Job, workers int) []sweep.Result {
+	t.Helper()
+	r := vliwmt.NewRunner(vliwmt.WithWorkers(workers), vliwmt.WithCache(vliwmt.SharedCompileCache()))
+	rs, err := r.SweepJobs(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
 func TestTable1Shapes(t *testing.T) {
-	rows, err := Table1(testOpts())
+	rows, err := Table1(sweepJobs(t, Table1Jobs(testOpts()), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +51,7 @@ func TestTable1Shapes(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	f, err := Fig4(testOpts())
+	f, err := Fig4(sweepJobs(t, Fig4Jobs(testOpts()), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +76,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	rows, err := Fig6(testOpts())
+	rows, err := Fig6(sweepJobs(t, Fig6Jobs(testOpts()), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +99,9 @@ func TestFig6Shape(t *testing.T) {
 	}
 }
 
-// TestFig10WorkerCountInvariance asserts the acceptance criterion of the
-// sweep-engine refactor: the full 16-scheme x 9-mix sweep produces
-// byte-identical numbers at every worker count.
+// TestFig10WorkerCountInvariance asserts that the full 16-scheme x 9-mix
+// job set, run through a Runner, reduces to byte-identical numbers at
+// every worker count.
 func TestFig10WorkerCountInvariance(t *testing.T) {
 	render := func(rows []Figure10Row) string {
 		var b strings.Builder
@@ -101,11 +116,10 @@ func TestFig10WorkerCountInvariance(t *testing.T) {
 	}
 	// A small budget keeps this affordable under -race in CI; the
 	// engine-level 1/4/16 invariance test lives in internal/sweep.
-	opts := DefaultOptions().Scale(5_000)
+	jobs := Fig10Jobs(DefaultOptions().Scale(5_000))
 	var want string
 	for _, workers := range []int{1, 16} {
-		opts.Workers = workers
-		rows, err := Fig10(opts)
+		rows, err := Fig10(sweepJobs(t, jobs, workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -123,7 +137,7 @@ func TestFig10Shapes(t *testing.T) {
 		t.Skip("full-budget Fig10 sweep (144 simulations) skipped in -short")
 	}
 	opts := testOpts()
-	rows, err := Fig10(opts)
+	rows, err := Fig10(sweepJobs(t, Fig10Jobs(opts), 0))
 	if err != nil {
 		t.Fatal(err)
 	}

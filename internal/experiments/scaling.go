@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vliwmt/internal/cost"
+	"vliwmt/internal/isa"
 	"vliwmt/internal/merge"
 	"vliwmt/internal/sweep"
 )
@@ -39,17 +40,23 @@ var scaling8Workload = []string{
 	"g721encode", "djpeg", "x264", "colorspace",
 }
 
-// Scaling8 runs the extension experiment the paper's motivation points
-// to: beyond four threads, SMT merging is unbuildable but mixed schemes
-// keep most of its performance at CSMT-like cost. Returns one row per
+// Scaling8Jobs runs the extension experiment the paper's motivation
+// points to: beyond four threads, SMT merging is unbuildable but mixed
+// schemes keep most of its performance at CSMT-like cost. One job per
 // scheme in Scaling8Schemes order.
-func Scaling8(opts Options) ([]ScalingRow, error) {
-	schemes := Scaling8Schemes()
+func Scaling8Jobs(o Options) []sweep.Job {
 	var jobs []sweep.Job
-	for _, scheme := range schemes {
-		jobs = append(jobs, opts.job("8T/"+scheme, scheme, 8, false, scaling8Workload...))
+	for _, scheme := range Scaling8Schemes() {
+		jobs = append(jobs, o.job("8T/"+scheme, scheme, false, scaling8Workload...))
 	}
-	ipcs, err := opts.run(jobs)
+	return jobs
+}
+
+// Scaling8 reduces Scaling8Jobs' index-ordered results to one row per
+// scheme, costed on machine m.
+func Scaling8(m isa.Machine, rs []sweep.Result) ([]ScalingRow, error) {
+	schemes := Scaling8Schemes()
+	ipcs, err := ipcs(rs, len(schemes))
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +66,7 @@ func Scaling8(opts Options) ([]ScalingRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scaling scheme %s: %w", scheme, err)
 		}
-		sc, err := cost.ForScheme(opts.Machine, scheme)
+		sc, err := cost.ForScheme(m, scheme)
 		if err != nil {
 			return nil, err
 		}

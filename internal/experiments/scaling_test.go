@@ -8,7 +8,8 @@ import "testing"
 // merged design beats pure CSMT serial cost-wise or performance-wise in
 // the expected direction.
 func TestScaling8Shapes(t *testing.T) {
-	rows, err := Scaling8(testOpts())
+	opts := testOpts()
+	rows, err := Scaling8(opts.Machine, sweepJobs(t, Scaling8Jobs(opts), 0))
 	if err != nil {
 		t.Fatal(err)
 	}

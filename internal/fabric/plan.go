@@ -58,37 +58,19 @@ type dispatch struct {
 // and store hits are resolved here — with progress emitted in
 // submission order — and never leave the box.
 func (d *dispatch) plan() []*unit {
-	groups := map[string][]int{}
-	var keys []string // first-appearance order: deterministic, no sort needed
-	for i, j := range d.jobs {
-		if err := j.Validate(); err != nil {
-			d.finish(i, err)
-			continue
-		}
-		key, err := resultstore.Key(j)
-		if err != nil {
-			d.finish(i, err)
-			continue
-		}
-		if _, ok := groups[key]; !ok {
-			keys = append(keys, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
-	units := make([]*unit, 0, len(keys))
-	for _, k := range keys {
-		idxs := groups[k]
-		if n := len(idxs) - 1; n > 0 {
+	groups := resultstore.GroupByKey(d.jobs, d.finish)
+	units := make([]*unit, 0, len(groups))
+	for _, g := range groups {
+		if n := len(g.Indices) - 1; n > 0 {
 			metJobsDeduped.Add(int64(n))
 		}
-		rep := d.jobs[idxs[0]]
-		if res, elapsed, ok := d.c.store.Get(rep); ok {
-			metJobsFromStore.Add(int64(len(idxs)))
-			d.merge(&unit{key: k, job: rep, indices: idxs},
-				sweep.Result{Res: res, Elapsed: elapsed, Cached: true}, "", 0)
+		u := &unit{key: g.Key, job: d.jobs[g.Indices[0]], indices: g.Indices}
+		if res, elapsed, ok := d.c.store.Get(u.job); ok {
+			metJobsFromStore.Add(int64(len(u.indices)))
+			d.merge(u, sweep.Result{Res: res, Elapsed: elapsed, Cached: true}, "", 0)
 			continue
 		}
-		units = append(units, &unit{key: k, job: rep, indices: idxs})
+		units = append(units, u)
 	}
 	return units
 }

@@ -3,7 +3,7 @@
 // profiled on real workloads without editing code:
 //
 //	vliwsweep -mixes LLHH -cpuprofile cpu.prof
-//	paperfigs -table1 -memprofile mem.prof
+//	vliwsweep -figure table1 -memprofile mem.prof
 //	go tool pprof cpu.prof
 package profiling
 

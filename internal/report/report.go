@@ -1,5 +1,6 @@
 // Package report renders experiment results as aligned text tables and
-// ASCII charts, the output format of cmd/paperfigs.
+// ASCII charts, the output format of the paper's figures (vliwsweep
+// -figure) and of vliwsweep's text tables.
 package report
 
 import (

@@ -108,3 +108,38 @@ func Key(j sweep.Job) (string, error) {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
 }
+
+// Group is one distinct job of a job set: its content key and every
+// index of the set that shares it, ascending.
+type Group struct {
+	Key     string
+	Indices []int
+}
+
+// GroupByKey partitions a job set by Key, in first-appearance order, so
+// a caller can run each distinct job once and fan its result back to
+// every index. Jobs that fail validation or keying are passed to fail
+// (in index order) and belong to no group.
+func GroupByKey(jobs []sweep.Job, fail func(i int, err error)) []Group {
+	pos := map[string]int{}
+	var groups []Group
+	for i, j := range jobs {
+		if err := j.Validate(); err != nil {
+			fail(i, err)
+			continue
+		}
+		key, err := Key(j)
+		if err != nil {
+			fail(i, err)
+			continue
+		}
+		g, ok := pos[key]
+		if !ok {
+			g = len(groups)
+			pos[key] = g
+			groups = append(groups, Group{Key: key})
+		}
+		groups[g].Indices = append(groups[g].Indices, i)
+	}
+	return groups
+}

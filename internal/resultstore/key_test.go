@@ -192,3 +192,32 @@ func TestKeyRejectsUnresolvableSchemes(t *testing.T) {
 		t.Error("unresolvable scheme produced a key")
 	}
 }
+
+// TestGroupByKey checks the shared dedupe: jobs that differ only in
+// spelling share a group in first-appearance order, a different seed
+// starts a new group, and an invalid job is reported, not grouped.
+func TestGroupByKey(t *testing.T) {
+	a := baseJob()
+	relabeled := a
+	relabeled.Label = "elsewhere"
+	reseeded := a
+	reseeded.Seed++
+	bad := a
+	bad.Benchmarks = nil
+	var failed []int
+	groups := GroupByKey([]sweep.Job{a, reseeded, bad, relabeled}, func(i int, err error) {
+		failed = append(failed, i)
+	})
+	if len(failed) != 1 || failed[0] != 2 {
+		t.Errorf("failed indices %v, want [2]", failed)
+	}
+	if len(groups) != 2 {
+		t.Fatalf("%d groups, want 2: %+v", len(groups), groups)
+	}
+	if g := groups[0]; g.Key != keyOf(t, a) || len(g.Indices) != 2 || g.Indices[0] != 0 || g.Indices[1] != 3 {
+		t.Errorf("first group %+v, want indices [0 3] under a's key", g)
+	}
+	if g := groups[1]; g.Key != keyOf(t, reseeded) || len(g.Indices) != 1 || g.Indices[0] != 1 {
+		t.Errorf("second group %+v, want index [1] under the reseeded key", g)
+	}
+}
