@@ -8,37 +8,10 @@ import (
 	"testing"
 
 	"vliwmt"
+	"vliwmt/internal/experiments"
 	"vliwmt/internal/server"
 	"vliwmt/internal/telemetry"
 )
-
-// table1Jobs builds the paper's Table 1 grid as an explicit job set:
-// every benchmark alone on the default machine, under real caches
-// (IPCr) and perfect memory (IPCp), at a scaled-down budget.
-func table1Jobs(instr int64) []vliwmt.SweepJob {
-	var jobs []vliwmt.SweepJob
-	for _, b := range vliwmt.Benchmarks() {
-		for _, perfect := range []bool{false, true} {
-			mem := "real"
-			if perfect {
-				mem = "perfect"
-			}
-			jobs = append(jobs, vliwmt.SweepJob{
-				Label:           b.Name + "/" + mem,
-				Benchmarks:      []string{b.Name},
-				Contexts:        1,
-				Machine:         vliwmt.DefaultMachine(),
-				ICache:          vliwmt.DefaultCache(),
-				DCache:          vliwmt.DefaultCache(),
-				PerfectMemory:   perfect,
-				InstrLimit:      instr,
-				TimesliceCycles: 1_000,
-				Seed:            1,
-			})
-		}
-	}
-	return jobs
-}
 
 func csvOf(t *testing.T, results []vliwmt.SweepResult) []byte {
 	t.Helper()
@@ -61,7 +34,7 @@ func csvOf(t *testing.T, results []vliwmt.SweepResult) []byte {
 // original times).
 func TestWarmStoreZeroSimulations(t *testing.T) {
 	dir := t.TempDir()
-	jobs := table1Jobs(10_000)
+	jobs := experiments.Table1Jobs(experiments.DefaultOptions().Scale(10_000))
 
 	cold := vliwmt.NewRunner(vliwmt.WithStore(vliwmt.OpenResultStore(dir)))
 	a, err := cold.SweepJobs(context.Background(), jobs)
